@@ -52,4 +52,11 @@ echo "== tier 1h: OS-socket transport suite under TSan =="
 cmake --build build-tsan -j "$(nproc)" --target os_network_test
 (cd build-tsan && ctest -L osnet --output-on-failure)
 
+echo "== tier 1i: full suite under ASan+UBSan =="
+# Memory errors and undefined behaviour anywhere in the suite; UBSan is
+# fatal (-fno-sanitize-recover), so any report fails its test.
+cmake -B build-asan -S . -DDISCOVER_SANITIZE=address >/dev/null
+cmake --build build-asan -j "$(nproc)"
+(cd build-asan && ctest --output-on-failure -j "$(nproc)")
+
 echo "tier1: all green"

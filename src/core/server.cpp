@@ -30,15 +30,14 @@ void DiscoverServer::attach(net::NodeId self) {
   self_ = self;
   // Shard resolution (DESIGN.md §5i): a shard_count > 1 turns this
   // instance into core 0 plus a dispatcher, with shard_count - 1 inner
-  // cores sharing the node id.  Inner cores (group_ already set) skip
-  // this; backends that cannot shard clamp to the unsharded path.
-  if (group_ == nullptr && config_.shard_count > 1) {
+  // cores sharing the node id.  Inner cores (configured by their group)
+  // skip this; backends that cannot shard clamp to a group of one.
+  if (group_ == this && config_.shard_count > 1) {
     if (!network_.supports_sharding()) {
       DISCOVER_LOG(warn, "server")
           << config_.name << ": shard_count=" << config_.shard_count
           << " ignored: network backend is single-threaded per node";
     } else {
-      group_ = this;
       group_shards_ = config_.shard_count;
       shard_index_ = 0;
       while ((1u << shard_bits_) < group_shards_) ++shard_bits_;
@@ -58,7 +57,7 @@ void DiscoverServer::attach(net::NodeId self) {
   orb_ = std::make_unique<orb::Orb>(network_, self_);
   orb_->set_retry_policy(config_.orb_retry);
   orb_->set_retry_seed(0x9e37 + self.value());
-  if (group_ != nullptr) {
+  if (sharded()) {
     // Sharded federation (DESIGN.md §5j): tag every id this core's ORB
     // mints with its shard index (the dispatcher routes inbound GIOP by
     // those low bits), run ORB timers on this core's own shard queue, and
@@ -533,9 +532,14 @@ bool DiscoverServer::should_deliver(const ClientSession& session,
       return sub.collab_enabled && sub.subgroup == ev.subgroup && ev.shared;
     case proto::EventKind::response:
     case proto::EventKind::error:
-      if (session.user == ev.user) return true;  // requester always sees it
-      return config_.broadcast_responses && ev.shared && sub.collab_enabled &&
-             sub.subgroup == ev.subgroup;
+      // The requester always sees it; its collaboration (sub)group shares
+      // it.
+      if (session.user == ev.user) return true;
+      return ev.shared && sub.collab_enabled && sub.subgroup == ev.subgroup;
+    case proto::EventKind::resync:
+      // A marker describes one client's FIFO loss; poll synthesizes it for
+      // that client alone, so one arriving as an app event reaches nobody.
+      return false;
   }
   return false;
 }
@@ -823,7 +827,6 @@ void DiscoverServer::publish_lock_notice(const proto::AppId& app,
 
 void DiscoverServer::reap_server_locks(std::uint32_t node,
                                        const std::string& why) {
-  if (!config_.lock_reap_on_suspect) return;
   for (const auto& reap : locks_.reap_server(node)) {
     stats_.lock_waiters_reaped += reap.dropped_waiters.size();
     // Dropped waiters' callbacks already published "denied" notices, and a
@@ -962,33 +965,16 @@ void DiscoverServer::drop_session(std::uint64_t key) {
   for (auto& [app_id, sub] : session.apps) {
     fifo_forget(sub);
     // Release/forget any lock interest, locally or at the remote host
-    // (§5.2.4).
+    // (§5.2.4), on the core owning the app — which also drops the watcher
+    // refcount a session on another core holds there.
+    const std::uint32_t owner = shard_owner_of(app_id);
+    const std::uint32_t me = shard_index_;
+    post_shard(owner, [grp = group_, owner, app_id, user = session.user, me] {
+      DiscoverServer& host = grp->core_at(owner);
+      host.forget_lock_interest(app_id, user);
+      if (owner != me) host.release_shard_watcher(app_id, me);
+    });
     AppEntry* entry = find_app(app_id);
-    if (entry != nullptr) {
-      if (entry->local) {
-        locks_.forget(app_id, LockIdentity{session.user, self_.value()});
-      } else {
-        send_forget_locks(app_id, session.user, 1);
-      }
-    } else if (sharded() && shard_owner_of(app_id) != shard_index_) {
-      // The app lives on a sibling core: one hop drops this session's lock
-      // interest and its watcher refcount there.
-      const std::uint32_t owner = shard_owner_of(app_id);
-      const std::uint32_t me = shard_index_;
-      const std::string user = session.user;
-      group_->post_shard(owner, [grp = group_, owner, app_id, user, me] {
-        DiscoverServer& host = grp->core_at(owner);
-        if (AppEntry* owned = host.find_app(app_id);
-            owned != nullptr && !owned->local) {
-          // Remote app on the owning core: the lock interest lives at the
-          // app's host server, not in this node's lock manager.
-          host.send_forget_locks(app_id, user, 1);
-        } else {
-          host.locks_.forget(app_id, LockIdentity{user, host.self_.value()});
-        }
-        host.release_shard_watcher(app_id, me);
-      });
-    }
     // Drop the session's index rows.  The row count is the local watcher
     // refcount: when it reaches zero for a remote app, nobody here needs
     // its event stream any more — unsubscribe at the host in O(1) instead
@@ -1038,6 +1024,18 @@ void DiscoverServer::send_forget_locks(const proto::AppId& app,
         });
       },
       config_.orb_call_timeout);
+}
+
+void DiscoverServer::forget_lock_interest(const proto::AppId& app,
+                                          const std::string& user) {
+  const AppEntry* entry = find_app(app);
+  if (entry == nullptr) return;
+  if (entry->local) {
+    locks_.forget(app, LockIdentity{user, self_.value()});
+  } else {
+    // The lock interest lives at the app's host server.
+    send_forget_locks(app, user, 1);
+  }
 }
 
 DiscoverServer::ClientSub& DiscoverServer::subscribe_session(

@@ -148,10 +148,6 @@ struct ServerConfig {
   /// seen (epoch, version).  false = request a full snapshot every round
   /// (legacy A/B for the delta machinery).
   bool peer_dir_deltas = true;
-  /// Disables the per-round directory fetch entirely (discovery then works
-  /// only through logins and the control channel, as it did before the
-  /// versioned directory existed).
-  bool peer_dir_refresh = true;
   /// Bounded host-side directory change log; callers further behind than
   /// this get a full snapshot.
   std::size_t dir_log_cap = 128;
@@ -170,9 +166,6 @@ struct ServerConfig {
   /// Resource-usage policy applied to each peer server (§6.3); zero limits
   /// disable enforcement.
   security::AccessPolicy peer_policy{};
-
-  /// Share command responses with the requester's collaboration (sub)group.
-  bool broadcast_responses = true;
 
   /// Fan-out fast path (see DESIGN.md "Fan-out fast path"): deliver events
   /// through the per-app subscriber index with one serialization per event
@@ -198,12 +191,6 @@ struct ServerConfig {
   /// the waiter is removed and receives a `denied` lock notice instead of
   /// starving forever (0 = wait forever — the paper's behaviour).
   util::Duration lock_wait_deadline = 0;
-
-  /// Reap steering-lock holders and queued waiters whose origin server has
-  /// been declared dead (marked suspect, or announced server_down).  The
-  /// lock passes to the next surviving waiter and survivors see a
-  /// lock_notice.  Leases remain the backstop when disabled.
-  bool lock_reap_on_suspect = true;
 
   /// Retry schedule for the forget_locks relay sent to a remote host when
   /// a local session drops.  These are whole-call resends on top of the
@@ -260,15 +247,16 @@ struct ServerConfig {
   /// cores than shards, which is what the shard sweep measures.
   bool servlet_cost_sleeps = false;
 
-  /// Worker shards per server node (DESIGN.md §5i).  With shard_count > 1
-  /// the node splits into N independent cores: a dispatcher on the node's
-  /// network worker hashes each message's source node to its owning core
-  /// and every core runs its own event loop over its own queue, so the hot
-  /// paths (deliver_local, FIFO drains, lock operations) execute with no
-  /// shared locks; cross-core interactions are explicit queue hops.  Only
-  /// honoured on backends whose supports_sharding() is true (ThreadNetwork)
-  /// — the Sim backend clamps to 1 so deterministic suites are unaffected —
-  /// and shard_count = 1 is exactly the unsharded code path.  Federation
+  /// Worker shards per server node (DESIGN.md §5i).  Every server is a
+  /// group of shard_count >= 1 cores.  With shard_count > 1 a dispatcher on
+  /// the node's network worker hashes each message's source node to its
+  /// owning core and every core runs its own event loop over its own queue,
+  /// so the hot paths (deliver_local, FIFO drains, lock operations) execute
+  /// with no shared locks; cross-core interactions are explicit queue hops.
+  /// In a group of one those hops run inline on the node's own worker (no
+  /// pool, no dispatcher).  Only honoured on backends whose
+  /// supports_sharding() is true (ThreadNetwork, OsNetwork) — the Sim
+  /// backend clamps to 1 so deterministic suites are unaffected.  Federation
   /// composes with sharding (DESIGN.md §5j): every core runs its own ORB
   /// with shard-tagged servant keys / request ids and its own per-peer
   /// outboxes, the dispatcher routes inbound GIOP frames to the owning
@@ -382,8 +370,8 @@ class DiscoverServer final : public net::MessageHandler {
   /// context is quiescent (SimNetwork, or after ThreadNetwork::stop()).
   /// On a sharded server this is core 0's share only; use stats_sum().
   [[nodiscard]] const ServerStats& stats() const { return stats_; }
-  /// Field-wise sum of every shard core's stats (== stats() when
-  /// unsharded).  Same quiescence requirement as stats().
+  /// Field-wise sum of every shard core's stats (== stats() in a group of
+  /// one).  Same quiescence requirement as stats().
   [[nodiscard]] ServerStats stats_sum() const;
   /// Live counters safe to poll from other threads while the server runs.
   /// Summed across shard cores.
@@ -677,6 +665,9 @@ class DiscoverServer final : public net::MessageHandler {
   friend class CorbaProxyServant;
 
   // -- sharding (DESIGN.md §5i) ----------------------------------------------
+  // Every server is a group of >= 1 cores and every request has one body,
+  // written against these primitives.  In a group of one they run inline
+  // on the node's own worker.
   /// Marks this instance as inner shard core `index` of `group` (the
   /// user-facing server, which is core 0).  Must precede attach().
   void configure_shard(std::uint32_t index, std::uint32_t bits,
@@ -685,29 +676,28 @@ class DiscoverServer final : public net::MessageHandler {
   /// routes — client/app channels to hash(src)'s core; GIOP frames to the
   /// core whose ORB owns them (requests by servant key, replies by request
   /// id — both carry the minting core in their low shard bits); control
-  /// framing and unparseable GIOP to core 0.
+  /// framing and unparseable GIOP to core 0.  Groups of one have none.
   void route_message(const net::Message& msg);
-  /// The pre-shard on_message body; on a sharded server it runs on the
-  /// owning core's shard worker.
+  /// Demultiplexes one message by channel; on a sharded server it runs on
+  /// the owning core's shard worker.
   void dispatch_message(const net::Message& msg);
-  /// Runs `fn` in shard `idx`'s execution context (inline when unsharded
-  /// or already on that shard's worker).
+  /// Runs `fn` in shard `idx`'s execution context (inline in a group of
+  /// one or when already on that shard's worker).
   void post_shard(std::uint32_t idx, std::function<void()> fn);
   [[nodiscard]] DiscoverServer& core_at(std::uint32_t idx) {
     return idx == 0 ? *this : *cores_[idx - 1];
   }
-  /// The shard core owning app `id` (self when unsharded).
+  /// The shard core owning app `id`.
   [[nodiscard]] std::uint32_t shard_owner_of(const proto::AppId& id) const {
-    return sharded() ? shard_of_app(id, shard_bits_, group_shards_)
-                     : shard_index_;
+    return shard_of_app(id, shard_bits_, group_shards_);
   }
   /// network_.schedule(self_, ...) whose callback hops back onto this
-  /// core's shard worker (plain schedule when unsharded).  Every timer
+  /// core's shard worker (plain schedule in a group of one).  Every timer
   /// touching core state must go through this.
   net::TimerId schedule_self(util::Duration delay, std::function<void()> fn);
   /// Visits every core on its own shard worker in index order, then runs
-  /// `done` back on the calling core (used by login and the metrics/trace
-  /// scrapes).  Sharded servers only.
+  /// `done` back on the calling core (login, the metrics/trace scrapes,
+  /// peer authenticate/list_* and directory replies, monitoring).
   struct GatherJob {
     std::function<void(DiscoverServer&)> visit;
     std::function<void()> done;
@@ -716,13 +706,14 @@ class DiscoverServer final : public net::MessageHandler {
   void gather_across_cores(std::function<void(DiscoverServer&)> visit,
                            std::function<void()> done);
   void gather_step(const std::shared_ptr<GatherJob>& job, std::uint32_t idx);
-  /// Owner-core half of a cross-shard select: ACL/phase/admission check
-  /// plus watcher-refcount bump for the client's shard.
+  /// Owner-core half of a select: ACL/admission check plus, for a client
+  /// on another core, a watcher-refcount bump for the client's shard.
   struct ShardSelectGrant {
     bool found = false;
     bool admission_rejected = false;
     security::Privilege privilege = security::Privilege::none;
-    std::string name;
+    /// Why privilege is none (the 403 reply's message).
+    std::string denial;
     std::vector<proto::ParamSpec> params;
     std::uint64_t history_seq = 0;
   };
@@ -730,17 +721,17 @@ class DiscoverServer final : public net::MessageHandler {
                                          const std::string& user,
                                          std::uint32_t client_shard,
                                          bool already_selected);
-  /// Async owner-core half of a cross-shard select that also covers REMOTE
+  /// Async owner-core half of a select that also covers REMOTE
   /// applications: resolves the entry via with_remote_app, fetches the
-  /// interface from the host and subscribes, then hands the grant to
-  /// `done` (still on the owner core — the caller posts it back).  Local
-  /// entries complete inline through grant_select_on_owner.
+  /// interface from the host and subscribes, then posts the grant back to
+  /// `done` on the client's core.  Local entries grant at once through
+  /// grant_select_on_owner.
   void select_on_owner_async(const proto::AppId& app, const std::string& user,
                              std::uint32_t client_shard, bool already_selected,
                              std::function<void(ShardSelectGrant)> done);
-  /// Owner-core watcher-refcount drop (client core released a sub).  For a
-  /// remote entry whose last watcher left, this also drops the host-side
-  /// subscription.
+  /// Owner-core watcher-refcount drop (client core released a sub, or a
+  /// grant found its session gone).  For a remote entry whose last watcher
+  /// left, this also drops the host-side subscription.
   void release_shard_watcher(const proto::AppId& app,
                              std::uint32_t client_shard);
   /// Watchers for per-app admission: local subscriber index rows plus
@@ -805,21 +796,19 @@ class DiscoverServer final : public net::MessageHandler {
   /// by different cores); each core then applies its own frames.
   void ingest_event_frames(const std::vector<proto::EventFrame>& frames);
   /// Applies push frames to remote entries and publishes collab_relay
-  /// frames for local apps — every frame must be owned by this core.
+  /// frames for local apps; frames owned by other cores are skipped.
   void apply_event_frames(const std::vector<proto::EventFrame>& frames);
 
   // -- versioned directory -----------------------------------------------------
-  /// Records one local membership/phase change in the change log.  On a
-  /// sharded server the owning core posts the change to core 0, which
-  /// keeps the single node-wide (epoch, version) sequence and an AppInfo
-  /// mirror of every core's local apps for snapshot replies.
+  /// Records one local membership/phase change: the owning core posts it
+  /// to core 0, which keeps the single node-wide (epoch, version) change
+  /// log.
   void bump_directory(const proto::AppId& app, bool removed);
-  /// Core-0 half of a sharded bump_directory.
-  void record_directory_change(const proto::AppId& app, bool removed,
-                               const proto::AppInfo& info, bool have_info);
-  /// Builds the list_apps_since reply for a caller at (epoch, since).
-  [[nodiscard]] proto::DirectoryUpdate directory_update_since(
-      std::uint64_t epoch, std::uint64_t since) const;
+  /// Builds the list_apps_since reply for a caller at (epoch, since) on
+  /// core 0: picks the apps from the log (or all, for a full snapshot) and
+  /// gathers their live AppInfo from the cores that own them.
+  void directory_update_since(std::uint64_t epoch, std::uint64_t since,
+                              std::function<void(proto::DirectoryUpdate)> done);
   [[nodiscard]] proto::AppInfo app_info_of(const AppEntry& entry) const;
   /// Fetches `peer`'s directory (delta or full per config) this round.
   void refresh_peer_directory(Peer& peer);
@@ -844,7 +833,8 @@ class DiscoverServer final : public net::MessageHandler {
                            std::uint64_t client_rid, const std::string& what);
   /// Evicts lock holders/waiters whose origin server `node` was declared
   /// dead; publishes notices for evicted holders (waiter/promotion notices
-  /// ride the grant callbacks).  No-op unless `lock_reap_on_suspect`.
+  /// ride the grant callbacks).  The lock passes to the next surviving
+  /// waiter; leases remain the backstop for what reaping cannot see.
   void reap_server_locks(std::uint32_t node, const std::string& why);
   /// Relays forget_locks to a remote app's host with bounded exponential
   /// backoff (attempt is 1-based); gives up when the remote entry is gone
@@ -852,6 +842,9 @@ class DiscoverServer final : public net::MessageHandler {
   /// then reclaims the lock.
   void send_forget_locks(const proto::AppId& app, const std::string& user,
                          std::uint32_t attempt);
+  /// Owner-core half of a session drop: releases `user`'s lock interest in
+  /// `app` here (local app) or at the app's host (remote app).
+  void forget_lock_interest(const proto::AppId& app, const std::string& user);
 
   // -- security ---------------------------------------------------------------
   [[nodiscard]] util::Status verify_token(
@@ -889,8 +882,7 @@ class DiscoverServer final : public net::MessageHandler {
   /// every remote app hosted there (each sharded core runs its own copy).
   void handle_peer_down(std::uint32_t origin);
   /// Encodes and pushes one MONITORING report, then reschedules.  The
-  /// metrics map is this core's flat snapshot — or, sharded, the merge of
-  /// every core's.
+  /// metrics map is the merge of every core's snapshot.
   void send_monitoring_report(std::map<std::string, std::int64_t> metrics,
                               std::function<void()> reschedule);
   // Sharded federation (DESIGN.md §5j): peer discovery and health live on
@@ -923,8 +915,8 @@ class DiscoverServer final : public net::MessageHandler {
   void remove_remote_app(const proto::AppId& app, const std::string& reason);
 
   // -- housekeeping -----------------------------------------------------------
-  /// Per-core halves of start()/shutdown(); on a sharded server they run
-  /// on each core's own shard worker.
+  /// Per-core halves of start()/shutdown(); each runs on its core's own
+  /// shard worker.
   void start_core();
   void shutdown_core();
   void sweep_app_liveness();
@@ -986,9 +978,9 @@ class DiscoverServer final : public net::MessageHandler {
   bool started_ = false;
 
   // Sharding (DESIGN.md §5i).  group_ points at core 0 (the user-facing
-  // instance) and is null until attach() resolves an effective shard count
-  // > 1; the unsharded server never touches any of this.
-  DiscoverServer* group_ = nullptr;
+  // instance; itself in a group of one).  Only a group of more than one
+  // core has a pool, inner cores and a dispatcher.
+  DiscoverServer* group_ = this;
   std::uint32_t shard_index_ = 0;
   std::uint32_t shard_bits_ = 0;
   std::uint32_t group_shards_ = 1;
@@ -1037,10 +1029,6 @@ class DiscoverServer final : public net::MessageHandler {
   std::deque<DirLogEntry> dir_log_;
   std::uint64_t dir_epoch_ = 0;
   std::uint64_t dir_version_ = 0;
-  /// Sharded core 0 only: AppInfo of every core's local apps, maintained by
-  /// record_directory_change; directory_update_since snapshots read this
-  /// instead of apps_ (which holds only core 0's own apps).
-  std::map<proto::AppId, proto::AppInfo> dir_mirror_;
   net::TimerId refresh_timer_{0};
   net::TimerId liveness_timer_{0};
   net::TimerId session_timer_{0};

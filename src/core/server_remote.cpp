@@ -55,6 +55,12 @@ std::shared_ptr<const util::Bytes> encode_event_standalone(
 /// the peer_batch_max_bytes trigger.
 constexpr std::size_t kOutboxItemOverhead = 32;
 
+/// Core visit order is deterministic but an implementation detail; replies
+/// list applications in app-id order, as one core's table would.
+bool by_app_id(const proto::AppInfo& a, const proto::AppInfo& b) {
+  return a.id < b.id;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -76,115 +82,76 @@ class DiscoverServer::DiscoverCorbaServerServant final : public orb::Servant {
     if (method == "authenticate") {
       // Cross-server level-1 authentication: checks the user against local
       // application ACLs and returns the applications they may access
-      // (paper §5.2.2).  A sharded node answers for every core: apps and
-      // sessions are striped, so the reply is a cross-core gather (the
+      // (paper §5.2.2).  Apps and sessions are striped across the group's
+      // cores, so this and the list_* replies are cross-core gathers (the
       // deferred handle completes on this core, which owns the ORB reply).
       const std::string user = args.str();
       const std::uint64_t pw = args.u64();
-      if (s.sharded()) {
-        auto ok_any = std::make_shared<bool>(false);
-        auto apps = std::make_shared<std::vector<proto::AppInfo>>();
-        const auto deferred = ctx.defer();
-        s.gather_across_cores(
-            [user, pw, ok_any, apps](DiscoverServer& core) {
-              if (core.authenticate_local(user, pw)) *ok_any = true;
-              for (auto& info : core.visible_apps(user)) {
-                apps->push_back(std::move(info));
-              }
-            },
-            [ok_any, apps, deferred] {
-              std::sort(apps->begin(), apps->end(),
-                        [](const proto::AppInfo& a, const proto::AppInfo& b) {
-                          return a.id < b.id;
-                        });
-              wire::Encoder reply;
-              reply.boolean(*ok_any);
-              encode_app_info_seq(reply, *ok_any
-                                             ? *apps
-                                             : std::vector<proto::AppInfo>{});
-              deferred->reply(std::move(reply));
-            });
-        return;
-      }
-      const bool ok = s.authenticate_local(user, pw);
-      out.boolean(ok);
-      encode_app_info_seq(out, ok ? s.visible_apps(user)
-                                  : std::vector<proto::AppInfo>{});
+      auto ok_any = std::make_shared<bool>(false);
+      auto apps = std::make_shared<std::vector<proto::AppInfo>>();
+      const auto deferred = ctx.defer();
+      s.gather_across_cores(
+          [user, pw, ok_any, apps](DiscoverServer& core) {
+            if (core.authenticate_local(user, pw)) *ok_any = true;
+            for (auto& info : core.visible_apps(user)) {
+              apps->push_back(std::move(info));
+            }
+          },
+          [ok_any, apps, deferred] {
+            std::sort(apps->begin(), apps->end(), by_app_id);
+            wire::Encoder reply;
+            reply.boolean(*ok_any);
+            encode_app_info_seq(reply, *ok_any
+                                           ? *apps
+                                           : std::vector<proto::AppInfo>{});
+            deferred->reply(std::move(reply));
+          });
     } else if (method == "list_users") {
-      if (s.sharded()) {
-        auto users = std::make_shared<std::vector<std::string>>();
-        const auto deferred = ctx.defer();
-        s.gather_across_cores(
-            [users](DiscoverServer& core) {
-              for (const auto& [_, session] : core.sessions_) {
-                users->push_back(session.user);
-              }
-            },
-            [users, deferred] {
-              std::sort(users->begin(), users->end());
-              wire::Encoder reply;
-              reply.u32(static_cast<std::uint32_t>(users->size()));
-              for (const auto& u : *users) reply.str(u);
-              deferred->reply(std::move(reply));
-            });
-        return;
-      }
-      std::vector<std::string> users;
-      for (const auto& [_, session] : s.sessions_) {
-        users.push_back(session.user);
-      }
-      out.u32(static_cast<std::uint32_t>(users.size()));
-      for (const auto& u : users) out.str(u);
+      auto users = std::make_shared<std::vector<std::string>>();
+      const auto deferred = ctx.defer();
+      s.gather_across_cores(
+          [users](DiscoverServer& core) {
+            for (const auto& [_, session] : core.sessions_) {
+              users->push_back(session.user);
+            }
+          },
+          [users, deferred] {
+            std::sort(users->begin(), users->end());
+            wire::Encoder reply;
+            reply.u32(static_cast<std::uint32_t>(users->size()));
+            for (const auto& u : *users) reply.str(u);
+            deferred->reply(std::move(reply));
+          });
     } else if (method == "list_services") {
-      if (s.sharded()) {
-        auto apps = std::make_shared<std::vector<proto::AppInfo>>();
-        const auto deferred = ctx.defer();
-        s.gather_across_cores(
-            [apps](DiscoverServer& core) {
-              for (const auto& [id, entry] : core.apps_) {
-                if (entry.local) apps->push_back(core.app_info_of(entry));
-              }
-            },
-            [apps, deferred] {
-              std::sort(apps->begin(), apps->end(),
-                        [](const proto::AppInfo& a, const proto::AppInfo& b) {
-                          return a.id < b.id;
-                        });
-              wire::Encoder reply;
-              encode_app_info_seq(reply, *apps);
-              deferred->reply(std::move(reply));
-            });
-        return;
-      }
-      std::vector<proto::AppInfo> apps;
-      for (const auto& [id, entry] : s.apps_) {
-        if (!entry.local) continue;
-        apps.push_back(s.app_info_of(entry));
-      }
-      encode_app_info_seq(out, apps);
+      auto apps = std::make_shared<std::vector<proto::AppInfo>>();
+      const auto deferred = ctx.defer();
+      s.gather_across_cores(
+          [apps](DiscoverServer& core) {
+            for (const auto& [id, entry] : core.apps_) {
+              if (entry.local) apps->push_back(core.app_info_of(entry));
+            }
+          },
+          [apps, deferred] {
+            std::sort(apps->begin(), apps->end(), by_app_id);
+            wire::Encoder reply;
+            encode_app_info_seq(reply, *apps);
+            deferred->reply(std::move(reply));
+          });
     } else if (method == "forward_event") {
       // Push-mode delivery from an application's host server.  Kept as a
       // compat alias beside forward_events so a new host can push to this
       // server during a rolling upgrade, and as the peer_flush_delay==0
-      // legacy wire format.  On a sharded receiver the remote entry lives
-      // on shard_of_app's core; hop there.
+      // legacy wire format.  The remote entry lives on shard_of_app's core.
       const proto::AppId app = proto::decode_app_id(args);
       const auto events = decode_event_seq(args);
       const std::uint32_t owner = s.shard_owner_of(app);
-      if (s.sharded() && owner != s.shard_index_) {
-        DiscoverServer* core = &s.group_->core_at(owner);
-        s.group_->pool_->post(owner, [core, app, events] {
-          AppEntry* entry = core->find_app(app);
-          if (entry != nullptr && !entry->local) {
-            core->ingest_remote_events(*entry, events);
-          }
-        });
-      } else {
-        AppEntry* entry = s.find_app(app);
+      DiscoverServer* core = &s.group_->core_at(owner);
+      s.group_->post_shard(owner, [core, app, events] {
+        AppEntry* entry = core->find_app(app);
         if (entry != nullptr && !entry->local) {
-          s.ingest_remote_events(*entry, events);
+          core->ingest_remote_events(*entry, events);
         }
-      }
+      });
     } else if (method == "forward_events" && !s.config_.emulate_legacy_peer) {
       // Batched peer outbox flush: push frames for apps hosted at the
       // caller plus collab posts relayed toward apps hosted here.
@@ -200,14 +167,19 @@ class DiscoverServer::DiscoverCorbaServerServant final : public orb::Servant {
       // (epoch, version), or a full snapshot when it is out of range.
       const std::uint64_t epoch = args.u64();
       const std::uint64_t since = args.u64();
-      encode(out, s.directory_update_since(epoch, since));
+      const auto deferred = ctx.defer();
+      s.directory_update_since(
+          epoch, since, [deferred](proto::DirectoryUpdate upd) {
+            wire::Encoder reply;
+            encode(reply, upd);
+            deferred->reply(std::move(reply));
+          });
     } else if (method == "ping") {
       out.str(s.config_.name);
     } else {
       throw orb::OrbException{util::Errc::invalid_argument,
                               "DiscoverCorbaServer has no method " + method};
     }
-    (void)ctx;
   }
 
  private:
@@ -330,23 +302,18 @@ void DiscoverServer::set_registry(orb::ObjectRef naming,
         "shard_count > 1 cannot federate with emulate_legacy_peer: the "
         "emulated legacy peer build predates sharding");
   }
-  if (pool_) {
-    // Sharded federation (DESIGN.md §5j): called from outside the shard
-    // workers (attach() already started them), so distribute the refs
-    // through the shard queues and let each core configure its own ORB
-    // clients in its own context.  Every core gets the naming service —
-    // app rebinds and remote resolves happen on the owning core — while
-    // trader discovery, export and monitoring stay on core 0, the
-    // federation coordinator.
-    for (std::uint32_t i = 0; i < group_shards_; ++i) {
-      DiscoverServer* core = &core_at(i);
-      pool_->post(i, [core, naming, trader] {
-        core->set_registry_core(naming, trader, core->shard_index_ == 0);
-      });
-    }
-    return;
+  // Called from outside the shard workers (DESIGN.md §5j), so distribute
+  // the refs through the shard queues and let each core configure its own
+  // ORB clients in its own context.  Every core gets the naming service —
+  // app rebinds and remote resolves happen on the owning core — while
+  // trader discovery, export and monitoring stay on core 0, the federation
+  // coordinator.
+  for (std::uint32_t i = 0; i < group_shards_; ++i) {
+    DiscoverServer* core = &core_at(i);
+    post_shard(i, [core, naming, trader] {
+      core->set_registry_core(naming, trader, core->shard_index_ == 0);
+    });
   }
-  set_registry_core(naming, trader, true);
 }
 
 void DiscoverServer::set_registry_core(const orb::ObjectRef& naming,
@@ -367,21 +334,17 @@ void DiscoverServer::set_registry_core(const orb::ObjectRef& naming,
 void DiscoverServer::start() {
   if (started_) return;
   started_ = true;
-  if (pool_) {
-    // Each core starts its own sweeps — and its own half of federation —
-    // on its own shard worker.  Core 0 owns trader export/refresh, the
-    // identity pull and monitoring; the other cores' trader_ /
-    // identity_directory_ are unset, so those branches no-op there.
-    for (std::uint32_t i = 0; i < group_shards_; ++i) {
-      DiscoverServer* core = &core_at(i);
-      pool_->post(i, [core] {
-        core->started_ = true;
-        core->start_core();
-      });
-    }
-    return;
+  // Each core starts its own sweeps — and its own half of federation — on
+  // its own shard worker.  Core 0 owns trader export/refresh, the identity
+  // pull and monitoring; the other cores' trader_ / identity_directory_
+  // are unset, so those branches no-op there.
+  for (std::uint32_t i = 0; i < group_shards_; ++i) {
+    DiscoverServer* core = &core_at(i);
+    post_shard(i, [core] {
+      core->started_ = true;
+      core->start_core();
+    });
   }
-  start_core();
 }
 
 void DiscoverServer::start_core() {
@@ -411,18 +374,14 @@ void DiscoverServer::export_trader_offer() {
 void DiscoverServer::shutdown() {
   if (!started_) return;
   started_ = false;
-  if (pool_) {
-    for (std::uint32_t i = 0; i < group_shards_; ++i) {
-      DiscoverServer* core = &core_at(i);
-      pool_->post(i, [core] {
-        core->started_ = false;
-        core->shutdown_core();
-      });
-    }
-    drain_shards();
-    return;
+  for (std::uint32_t i = 0; i < group_shards_; ++i) {
+    DiscoverServer* core = &core_at(i);
+    post_shard(i, [core] {
+      core->started_ = false;
+      core->shutdown_core();
+    });
   }
-  shutdown_core();
+  drain_shards();
 }
 
 void DiscoverServer::shutdown_core() {
@@ -488,7 +447,7 @@ void DiscoverServer::refresh_peers() {
         for (auto& [_, peer] : peers_) {
           if (peer.suspect) {
             probe_suspect_peer(peer);
-          } else if (config_.peer_dir_refresh) {
+          } else {
             refresh_peer_directory(peer);
           }
         }
@@ -502,18 +461,12 @@ void DiscoverServer::set_identity_directory(orb::ObjectRef directory) {
         "shard_count > 1 cannot federate with emulate_legacy_peer: the "
         "emulated legacy peer build predates sharding");
   }
-  if (pool_) {
-    // Core 0 owns the refresh loop; it replicates the cache to the other
-    // cores after each pull (replicate_identities_to_cores).
-    DiscoverServer* core0 = this;
-    pool_->post(0, [core0, directory] {
-      core0->identity_directory_ = directory;
-      if (core0->started_) core0->refresh_identities();
-    });
-    return;
-  }
-  identity_directory_ = std::move(directory);
-  if (started_) refresh_identities();
+  // Core 0 owns the refresh loop; it replicates the cache to the other
+  // cores after each pull (replicate_identities_to_cores).
+  post_shard(0, [this, directory] {
+    identity_directory_ = directory;
+    if (started_) refresh_identities();
+  });
 }
 
 void DiscoverServer::refresh_identities() {
@@ -557,25 +510,20 @@ void DiscoverServer::report_monitoring() {
         });
     return;
   }
-  if (sharded()) {
-    // One report for the whole node: gather each core's snapshot on its
-    // own thread, merge, and push from core 0 — the same union the
-    // /discover/metrics scrape serves.
-    auto snaps =
-        std::make_shared<std::vector<util::MetricsRegistry::Snapshot>>();
-    gather_across_cores(
-        [snaps](DiscoverServer& core) {
-          snaps->push_back(core.metrics_.snapshot());
-        },
-        [this, snaps, reschedule] {
-          send_monitoring_report(
-              util::MetricsRegistry::monitoring_map(
-                  util::MetricsRegistry::merge(*snaps)),
-              reschedule);
-        });
-    return;
-  }
-  send_monitoring_report(metrics_.monitoring_map(), reschedule);
+  // One report for the whole node: gather each core's snapshot on its own
+  // thread, merge, and push from core 0 — the same union the
+  // /discover/metrics scrape serves.
+  auto snaps =
+      std::make_shared<std::vector<util::MetricsRegistry::Snapshot>>();
+  gather_across_cores(
+      [snaps](DiscoverServer& core) {
+        snaps->push_back(core.metrics_.snapshot());
+      },
+      [this, snaps, reschedule] {
+        send_monitoring_report(util::MetricsRegistry::monitoring_map(
+                                   util::MetricsRegistry::merge(*snaps)),
+                               reschedule);
+      });
 }
 
 void DiscoverServer::send_monitoring_report(
@@ -586,8 +534,8 @@ void DiscoverServer::send_monitoring_report(
   // The report is the registry's flat snapshot — every counter, gauge and
   // histogram summary registered in register_metrics() — plus legacy key
   // aliases older MONITORING consumers pin.  The aliases read from the
-  // (possibly merged) map rather than this core's stats_ so a sharded
-  // node reports node-wide totals.
+  // merged map rather than this core's stats_ so the report carries
+  // node-wide totals.
   metrics["updates"] = metrics["updates_processed"];
   metrics["commands"] = metrics["commands_accepted"];
   metrics["events_shed"] = metrics["events_dropped"];
@@ -657,7 +605,7 @@ void DiscoverServer::invoke_peer(std::uint32_t node,
 }
 
 void DiscoverServer::note_peer_call(std::uint32_t node, bool timed_out) {
-  if (sharded() && shard_index_ != 0) {
+  if (shard_index_ != 0) {
     // Health is adjudicated on core 0 — one failure counter per peer, not
     // shard_count divergent ones.  Transitions come back through
     // broadcast_peer_state_to_cores.
@@ -744,13 +692,13 @@ void DiscoverServer::probe_suspect_peer(Peer& peer) {
 // ---------------------------------------------------------------------------
 
 void DiscoverServer::replicate_peer_to_cores(const Peer& peer) {
-  if (!sharded() || shard_index_ != 0) return;
+  if (shard_index_ != 0) return;
   const std::uint32_t node = peer.node;
   const std::string name = peer.name;
   const orb::ObjectRef ref = peer.server_ref;
   for (std::uint32_t i = 1; i < group_shards_; ++i) {
-    DiscoverServer* core = &group_->core_at(i);
-    group_->pool_->post(i, [core, node, name, ref] {
+    DiscoverServer* core = &core_at(i);
+    post_shard(i, [core, node, name, ref] {
       if (core->peers_.count(node) != 0) return;
       Peer copy;
       copy.node = node;
@@ -766,20 +714,20 @@ void DiscoverServer::replicate_peer_to_cores(const Peer& peer) {
 }
 
 void DiscoverServer::replicate_identities_to_cores() {
-  if (!sharded() || shard_index_ != 0) return;
+  if (shard_index_ != 0) return;
   const auto cache = identity_cache_;
   for (std::uint32_t i = 1; i < group_shards_; ++i) {
-    DiscoverServer* core = &group_->core_at(i);
-    group_->pool_->post(i, [core, cache] { core->identity_cache_ = cache; });
+    DiscoverServer* core = &core_at(i);
+    post_shard(i, [core, cache] { core->identity_cache_ = cache; });
   }
 }
 
 void DiscoverServer::broadcast_peer_state_to_cores(std::uint32_t node,
                                                    bool suspect) {
-  if (!sharded() || shard_index_ != 0) return;
+  if (shard_index_ != 0) return;
   for (std::uint32_t i = 1; i < group_shards_; ++i) {
-    DiscoverServer* core = &group_->core_at(i);
-    group_->pool_->post(i, [core, node, suspect] {
+    DiscoverServer* core = &core_at(i);
+    post_shard(i, [core, node, suspect] {
       if (suspect) {
         core->apply_peer_suspect(node);
       } else {
@@ -854,29 +802,20 @@ void DiscoverServer::handle_control_channel(const net::Message& msg) {
       // Control framing lands on core 0 (route_message); the remote entry
       // for this app lives on shard_of_app's core — hop there.
       const std::uint32_t owner = shard_owner_of(ev->app);
-      if (sharded() && owner != shard_index_) {
-        DiscoverServer* core = &group_->core_at(owner);
-        const proto::AppId app = ev->app;
-        const std::string text = ev->text;
-        group_->pool_->post(
-            owner, [core, app, text] { core->remove_remote_app(app, text); });
-      } else {
-        remove_remote_app(ev->app, ev->text);
-      }
+      DiscoverServer* core = &group_->core_at(owner);
+      post_shard(owner, [core, app = ev->app, text = ev->text] {
+        core->remove_remote_app(app, text);
+      });
       break;
     }
     case proto::SystemEventKind::server_down: {
       // Peers are replicated to every core; each core forgets its copy and
       // withdraws its own share of the dead server's apps.
       const std::uint32_t origin = ev->origin_server;
-      if (sharded()) {
-        for (std::uint32_t i = 1; i < group_shards_; ++i) {
-          DiscoverServer* core = &group_->core_at(i);
-          group_->pool_->post(i,
-                              [core, origin] { core->handle_peer_down(origin); });
-        }
+      for (std::uint32_t i = 0; i < group_shards_; ++i) {
+        DiscoverServer* core = &group_->core_at(i);
+        post_shard(i, [core, origin] { core->handle_peer_down(origin); });
       }
-      handle_peer_down(origin);
       break;
     }
     case proto::SystemEventKind::server_up:
@@ -1406,37 +1345,29 @@ void DiscoverServer::flush_all_outboxes() {
 
 void DiscoverServer::ingest_event_frames(
     const std::vector<proto::EventFrame>& frames) {
-  if (!sharded()) {
-    apply_event_frames(frames);
-    return;
-  }
   // A peer batches per destination NODE, so one forward_events call mixes
   // apps owned by different cores.  Scatter each frame to shard_of_app's
   // core (per-frame order within an app is preserved: frames for one app
   // always land on one core, through one FIFO queue) and apply this core's
-  // own share inline.
-  std::vector<proto::EventFrame> mine;
+  // own share in place.
   std::map<std::uint32_t, std::vector<proto::EventFrame>> other;
   for (const auto& f : frames) {
     const std::uint32_t owner = shard_owner_of(f.app);
-    if (owner == shard_index_) {
-      mine.push_back(f);
-    } else {
-      other[owner].push_back(f);
-    }
+    if (owner != shard_index_) other[owner].push_back(f);
   }
   for (auto& [owner, batch] : other) {
     DiscoverServer* core = &group_->core_at(owner);
-    group_->pool_->post(owner, [core, batch = std::move(batch)] {
+    post_shard(owner, [core, batch = std::move(batch)] {
       core->apply_event_frames(batch);
     });
   }
-  if (!mine.empty()) apply_event_frames(mine);
+  apply_event_frames(frames);
 }
 
 void DiscoverServer::apply_event_frames(
     const std::vector<proto::EventFrame>& frames) {
   for (const auto& f : frames) {
+    if (shard_owner_of(f.app) != shard_index_) continue;  // another core's
     AppEntry* entry = find_app(f.app);
     if (entry == nullptr) continue;
     if (f.kind == proto::EventFrameKind::push) {
@@ -1485,103 +1416,78 @@ proto::AppInfo DiscoverServer::app_info_of(const AppEntry& entry) const {
 }
 
 void DiscoverServer::bump_directory(const proto::AppId& app, bool removed) {
-  if (sharded()) {
-    // One node-wide version sequence: the owning core reports the change —
-    // with a fresh AppInfo for upserts — to core 0, which keeps the log
-    // and the mirror that directory_update_since serves peers from.
-    proto::AppInfo info;
-    bool have_info = false;
-    if (!removed) {
-      if (const AppEntry* entry = find_app(app);
-          entry != nullptr && entry->local) {
-        info = app_info_of(*entry);
-        have_info = true;
-      }
+  // One node-wide version sequence, kept by core 0.
+  DiscoverServer* group = group_;
+  post_shard(0, [group, app, removed] {
+    ++group->dir_version_;
+    group->dir_log_.push_back({group->dir_version_, app, removed});
+    while (group->dir_log_.size() > group->config_.dir_log_cap) {
+      group->dir_log_.pop_front();
     }
-    DiscoverServer* group = group_;
-    group_->post_shard(0, [group, app, removed, info, have_info] {
-      group->record_directory_change(app, removed, info, have_info);
-    });
-    return;
-  }
-  ++dir_version_;
-  dir_log_.push_back({dir_version_, app, removed});
-  while (dir_log_.size() > config_.dir_log_cap) dir_log_.pop_front();
-}
-
-void DiscoverServer::record_directory_change(const proto::AppId& app,
-                                             bool removed,
-                                             const proto::AppInfo& info,
-                                             bool have_info) {
-  ++dir_version_;
-  dir_log_.push_back({dir_version_, app, removed});
-  while (dir_log_.size() > config_.dir_log_cap) dir_log_.pop_front();
-  if (removed || !have_info) {
-    dir_mirror_.erase(app);
-  } else {
-    dir_mirror_[app] = info;
-  }
+  });
 }
 
 void DiscoverServer::bump_directory_epoch() {
-  if (sharded()) {
-    post_shard(0, [this] {
-      ++dir_epoch_;
-      dir_log_.clear();
-    });
-    return;
-  }
-  ++dir_epoch_;
-  dir_log_.clear();
+  post_shard(0, [this] {
+    ++dir_epoch_;
+    dir_log_.clear();
+  });
 }
 
-proto::DirectoryUpdate DiscoverServer::directory_update_since(
-    std::uint64_t epoch, std::uint64_t since) const {
-  proto::DirectoryUpdate upd;
-  upd.epoch = dir_epoch_;
-  upd.version = dir_version_;
+void DiscoverServer::directory_update_since(
+    std::uint64_t epoch, std::uint64_t since,
+    std::function<void(proto::DirectoryUpdate)> done) {
+  auto upd = std::make_shared<proto::DirectoryUpdate>();
+  upd->epoch = dir_epoch_;
+  upd->version = dir_version_;
   // Delta only when the caller is on our epoch, not ahead of us (a host
   // restart resets the version), and not behind the bounded change log.
   const std::uint64_t log_floor =
       dir_log_.empty() ? dir_version_ : dir_log_.front().version - 1;
-  const bool delta_ok = epoch == dir_epoch_ && since <= dir_version_ &&
-                        since >= log_floor;
-  if (!delta_ok) {
-    upd.full = true;
-    if (sharded()) {
-      // apps_ holds only this core's apps; the mirror has every core's
-      // (AppInfo as of the last membership/phase bump — see DESIGN.md §5j).
-      for (const auto& [id, info] : dir_mirror_) upd.apps.push_back(info);
-    } else {
-      for (const auto& [id, entry] : apps_) {
-        if (entry.local) upd.apps.push_back(app_info_of(entry));
-      }
-    }
-    return upd;
-  }
-  // Collapse the log tail: the latest mention of an app wins, removals of
-  // apps the caller then saw re-register collapse into one upsert.
-  std::set<proto::AppId> touched;
-  for (auto it = dir_log_.rbegin(); it != dir_log_.rend(); ++it) {
-    if (it->version <= since) break;
-    if (!touched.insert(it->app).second) continue;
-    if (sharded()) {
-      const auto mit = dir_mirror_.find(it->app);
-      if (mit != dir_mirror_.end()) {
-        upd.apps.push_back(mit->second);
-      } else {
-        upd.removed.push_back(it->app);
-      }
-      continue;
-    }
-    const AppEntry* entry = find_app(it->app);
-    if (entry != nullptr && entry->local) {
-      upd.apps.push_back(app_info_of(*entry));
-    } else {
-      upd.removed.push_back(it->app);
+  upd->full = !(epoch == dir_epoch_ && since <= dir_version_ &&
+                since >= log_floor);
+  // A delta describes each app the log tail mentions, newest mention
+  // first (one entry per app); a full snapshot describes every local app.
+  auto touched = std::make_shared<std::vector<proto::AppId>>();
+  if (!upd->full) {
+    std::set<proto::AppId> seen;
+    for (auto it = dir_log_.rbegin(); it != dir_log_.rend(); ++it) {
+      if (it->version <= since) break;
+      if (seen.insert(it->app).second) touched->push_back(it->app);
     }
   }
-  return upd;
+  // Live AppInfo from the cores that own the apps; an app no core holds
+  // as local any more is reported removed.
+  auto infos = std::make_shared<std::map<proto::AppId, proto::AppInfo>>();
+  gather_across_cores(
+      [upd, touched, infos](DiscoverServer& core) {
+        if (upd->full) {
+          for (const auto& [id, entry] : core.apps_) {
+            if (entry.local) (*infos)[id] = core.app_info_of(entry);
+          }
+          return;
+        }
+        for (const proto::AppId& id : *touched) {
+          const AppEntry* entry = core.find_app(id);
+          if (entry != nullptr && entry->local) {
+            (*infos)[id] = core.app_info_of(*entry);
+          }
+        }
+      },
+      [upd, touched, infos, done = std::move(done)] {
+        if (upd->full) {
+          for (auto& [id, info] : *infos) upd->apps.push_back(std::move(info));
+        }
+        for (const proto::AppId& id : *touched) {
+          const auto it = infos->find(id);
+          if (it != infos->end()) {
+            upd->apps.push_back(std::move(it->second));
+          } else {
+            upd->removed.push_back(id);
+          }
+        }
+        done(std::move(*upd));
+      });
 }
 
 void DiscoverServer::refresh_peer_directory(Peer& peer) {

@@ -1,12 +1,12 @@
 // Sharded multi-core server internals (DESIGN.md §5i).
 //
-// A DiscoverServer with shard_count > 1 on a sharding-capable network is a
-// group of N full server cores sharing one node id.  The user-facing
-// instance is core 0 and owns the dispatcher, the shard pool and the inner
-// cores; every core runs its own event loop over its own pool queue, so
-// all per-core state stays lock-free.  Cross-core interactions — select
-// grants, lock forgets, event fan-out, login/scrape gathers — are the
-// explicit queue hops implemented here.
+// Every DiscoverServer is a group of N >= 1 full server cores sharing one
+// node id.  The user-facing instance is core 0; with N > 1 on a
+// sharding-capable network it owns the dispatcher, the shard pool and the
+// inner cores, and every core runs its own event loop over its own pool
+// queue, so all per-core state stays lock-free.  Cross-core interactions —
+// select grants, lock forgets, event fan-out, login/scrape gathers — are
+// the explicit hops implemented here; in a group of one they run inline.
 #include "core/server.h"
 
 #include <algorithm>
@@ -158,12 +158,12 @@ void DiscoverServer::gather_across_cores(
 
 void DiscoverServer::gather_step(const std::shared_ptr<GatherJob>& job,
                                  std::uint32_t idx) {
-  pool_->post(idx, [this, job, idx] {
+  post_shard(idx, [this, job, idx] {
     job->visit(core_at(idx));
     if (idx + 1 < group_shards_) {
       gather_step(job, idx + 1);
     } else {
-      pool_->post(job->origin, [job] { job->done(); });
+      post_shard(job->origin, [job] { job->done(); });
     }
   });
 }
@@ -175,17 +175,23 @@ DiscoverServer::ShardSelectGrant DiscoverServer::grant_select_on_owner(
   AppEntry* entry = find_app(app);
   if (entry == nullptr || !entry->local) return grant;
   grant.found = true;
-  grant.name = entry->name;
-  // Same check order as the unsharded select path: admission first (new
-  // subscribers only), then the application ACL.
+  // Admission first (new subscribers only), then the application ACL
+  // (level-2 authentication, §5.2.2).
   if (config_.max_sessions_per_app != 0 && !already_selected &&
       admission_watchers(app) >= config_.max_sessions_per_app) {
     grant.admission_rejected = true;
     return grant;
   }
   grant.privilege = entry->acl.privilege_of(user);
-  if (grant.privilege == security::Privilege::none) return grant;
-  if (!already_selected) ++entry->watcher_shards[client_shard];
+  if (grant.privilege == security::Privilege::none) {
+    grant.denial = user + " has no access to " + entry->name;
+    return grant;
+  }
+  // A client on this core is counted by the subscriber index once its
+  // session subscribes; only other cores need a watcher refcount.
+  if (!already_selected && client_shard != shard_index_) {
+    ++entry->watcher_shards[client_shard];
+  }
   grant.params = entry->params;
   grant.history_seq = entry->event_seq;
   return grant;
@@ -209,8 +215,8 @@ void DiscoverServer::select_on_owner_async(
     }
   }
   // Not one of this core's local apps — maybe a remote app it owns (§5j):
-  // resolve, authenticate at the host, then subscribe the host's push
-  // stream to this core exactly as the unsharded remote select does.
+  // resolve, authenticate at the host through its CorbaProxy, then
+  // subscribe this core to the host's event stream.
   with_remote_app(app, [this, app, user, client_shard, already_selected,
                         reply](AppEntry* entry) {
     if (entry == nullptr) {
@@ -224,7 +230,6 @@ void DiscoverServer::select_on_owner_async(
     }
     ShardSelectGrant grant;
     grant.found = true;
-    grant.name = entry->name;
     if (config_.max_sessions_per_app != 0 && !already_selected &&
         admission_watchers(app) >= config_.max_sessions_per_app) {
       grant.admission_rejected = true;
@@ -245,10 +250,10 @@ void DiscoverServer::select_on_owner_async(
             return;
           }
           g.found = true;
-          g.name = entry2->name;
           if (!r.ok()) {
-            // Privilege stays none: the client core answers 403 like the
-            // unsharded remote path does on a failed get_interface.
+            // Privilege stays none: the client core answers 403 with the
+            // host's reason.
+            g.denial = r.error().message;
             reply(std::move(g));
             return;
           }
@@ -261,10 +266,12 @@ void DiscoverServer::select_on_owner_async(
           }
           g.history_seq = d.u64();
           if (g.privilege == security::Privilege::none) {
+            g.denial = user + " has no access to " + entry2->name;
             reply(std::move(g));
             return;
           }
-          // Authoritative admission re-check after the host round-trip.
+          // Authoritative admission re-check: concurrent selects may have
+          // filled the app while get_interface was in flight.
           if (config_.max_sessions_per_app != 0 && !already_selected &&
               admission_watchers(app) >= config_.max_sessions_per_app) {
             g.admission_rejected = true;
@@ -273,9 +280,15 @@ void DiscoverServer::select_on_owner_async(
           }
           entry2->params = g.params;
           if (!entry2->remote_subscribed && entry2->remote_known_seq == 0) {
+            // First subscription: events up to the level-2 handshake are
+            // history the watcher never asked for.  Anything the host
+            // publishes after this point must reach us — the subscribe
+            // reply backfills the gap instead of skipping over it.
             entry2->remote_known_seq = g.history_seq;
           }
-          if (!already_selected) ++entry2->watcher_shards[client_shard];
+          if (!already_selected && client_shard != shard_index_) {
+            ++entry2->watcher_shards[client_shard];
+          }
           subscribe_remote(*entry2);
           reply(std::move(g));
         },
@@ -288,8 +301,9 @@ void DiscoverServer::release_shard_watcher(const proto::AppId& app,
   AppEntry* entry = find_app(app);
   if (entry == nullptr) return;
   const auto it = entry->watcher_shards.find(client_shard);
-  if (it == entry->watcher_shards.end()) return;
-  if (--it->second == 0) entry->watcher_shards.erase(it);
+  if (it != entry->watcher_shards.end() && --it->second == 0) {
+    entry->watcher_shards.erase(it);
+  }
   // A remote entry whose last watcher (any core) left no longer needs the
   // host-side subscription.
   if (!entry->local && entry->watcher_shards.empty() &&
@@ -313,8 +327,8 @@ void DiscoverServer::fan_out_to_watcher_shards(AppEntry& entry,
   for (const auto& [shard, count] : entry.watcher_shards) {
     if (count == 0 || shard == shard_index_) continue;
     DiscoverServer* core = &group_->core_at(shard);
-    group_->pool_->post(shard,
-                        [core, app, shared] { core->deliver_local(app, *shared); });
+    group_->post_shard(
+        shard, [core, app, shared] { core->deliver_local(app, *shared); });
   }
 }
 

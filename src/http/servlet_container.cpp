@@ -64,6 +64,10 @@ HttpSession& ServletContainer::session_for(const HttpRequest& req,
 void DeferredHttpReply::complete(HttpResponse resp) {
   if (done_) return;
   done_ = true;
+  if (in_service_) {
+    inline_ = std::move(resp);
+    return;
+  }
   // Carry over correlation and session headers set before deferral.
   for (const auto& [n, v] : seed_.headers.all()) {
     if (!resp.headers.get(n)) resp.headers.set(n, v);
@@ -72,6 +76,18 @@ void DeferredHttpReply::complete(HttpResponse resp) {
   util::Bytes wire = serialize(resp);
   if (on_complete_) on_complete_(wire);
   network_.send(self_, client_, net::Channel::http, std::move(wire));
+}
+
+bool DeferredHttpReply::take_inline_completion(HttpResponse& direct) {
+  in_service_ = false;
+  if (!inline_) return false;
+  // The same bytes the servlet would have produced on `direct` itself: the
+  // seed headers first, its own set on top.
+  direct.status = inline_->status;
+  for (const auto& [n, v] : inline_->headers.all()) direct.headers.set(n, v);
+  direct.body = std::move(inline_->body);
+  inline_.reset();
+  return true;
 }
 
 void ServletContainer::cache_response(const DedupKey& key,
@@ -88,7 +104,7 @@ void ServletContainer::handle(const net::Message& msg) {
   const util::TimePoint start = network_.now();
   auto parsed = parse_request(msg.payload);
   HttpResponse resp;
-  bool deferred = false;
+  std::shared_ptr<DeferredHttpReply> deferred;
   DedupKey dedup_key{0, 0};
   bool has_dedup_key = false;
   if (!parsed.ok()) {
@@ -154,19 +170,23 @@ void ServletContainer::handle(const net::Message& msg) {
       ctx.session = &session;
       ctx.now = start;
       ctx.defer = [this, &deferred, &resp, &msg, dedup_key, has_dedup_key] {
-        deferred = true;
-        auto reply = std::make_shared<DeferredHttpReply>(network_, self_,
-                                                         msg.src, resp);
+        deferred = std::make_shared<DeferredHttpReply>(network_, self_,
+                                                       msg.src, resp);
         if (has_dedup_key) {
           inflight_.insert(dedup_key);
-          reply->set_on_complete([this, dedup_key](const util::Bytes& wire) {
-            inflight_.erase(dedup_key);
-            cache_response(dedup_key, wire);
-          });
+          deferred->set_on_complete(
+              [this, dedup_key](const util::Bytes& wire) {
+                inflight_.erase(dedup_key);
+                cache_response(dedup_key, wire);
+              });
         }
-        return reply;
+        return deferred;
       };
       servlet->service(req, resp, ctx);
+      if (deferred && deferred->take_inline_completion(resp)) {
+        if (has_dedup_key) inflight_.erase(dedup_key);
+        deferred.reset();
+      }
       resp.reason = reason_for(resp.status);
       if (trace.valid()) {
         tracer_->record(trace, "http:" + req.path_without_query(), start,

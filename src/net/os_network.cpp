@@ -4,7 +4,6 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
@@ -16,9 +15,7 @@
 #include <cstring>
 #include <stdexcept>
 
-#ifdef __linux__
 #include <sys/epoll.h>
-#endif
 
 #include "util/log.h"
 
@@ -63,107 +60,17 @@ void set_sndbuf(int fd, int bytes) {
   }
 }
 
+/// Registers (EPOLL_CTL_ADD) or updates (EPOLL_CTL_MOD) `fd` in the event
+/// loop's interest set: always readable, writable on demand.  Only the
+/// event-loop thread (and start(), before it runs) touches the set.
+void epoll_watch(int epfd, int op, int fd, bool want_write) {
+  epoll_event ev{};
+  ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
+  ev.data.fd = fd;
+  ::epoll_ctl(epfd, op, fd, &ev);
+}
+
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Event pollers: one interface, an epoll implementation (Linux) and a
-// portable poll(2) fallback.  Only the event-loop thread touches a poller.
-
-struct PollerEvent {
-  int fd = -1;
-  bool readable = false;
-  bool writable = false;
-  bool error = false;
-};
-
-class OsNetwork::Poller {
- public:
-  virtual ~Poller() = default;
-  virtual void add(int fd, bool want_read, bool want_write) = 0;
-  virtual void mod(int fd, bool want_read, bool want_write) = 0;
-  virtual void del(int fd) = 0;
-  virtual void wait(int timeout_ms, std::vector<PollerEvent>& out) = 0;
-};
-
-#ifdef __linux__
-class OsNetwork::EpollPoller final : public OsNetwork::Poller {
- public:
-  EpollPoller() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {
-    if (epfd_ < 0) throw std::runtime_error("epoll_create1 failed");
-  }
-  ~EpollPoller() override { ::close(epfd_); }
-
-  void add(int fd, bool want_read, bool want_write) override {
-    epoll_event ev{};
-    ev.events = mask(want_read, want_write);
-    ev.data.fd = fd;
-    ::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev);
-  }
-  void mod(int fd, bool want_read, bool want_write) override {
-    epoll_event ev{};
-    ev.events = mask(want_read, want_write);
-    ev.data.fd = fd;
-    ::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev);
-  }
-  void del(int fd) override {
-    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
-  void wait(int timeout_ms, std::vector<PollerEvent>& out) override {
-    epoll_event events[128];
-    const int n = ::epoll_wait(epfd_, events, 128, timeout_ms);
-    for (int i = 0; i < n; ++i) {
-      PollerEvent pe;
-      pe.fd = events[i].data.fd;
-      pe.readable = (events[i].events & (EPOLLIN | EPOLLHUP)) != 0;
-      pe.writable = (events[i].events & EPOLLOUT) != 0;
-      pe.error = (events[i].events & EPOLLERR) != 0;
-      out.push_back(pe);
-    }
-  }
-
- private:
-  static std::uint32_t mask(bool r, bool w) {
-    return (r ? EPOLLIN : 0u) | (w ? EPOLLOUT : 0u);
-  }
-  int epfd_;
-};
-#endif  // __linux__
-
-class OsNetwork::PollFdPoller final : public OsNetwork::Poller {
- public:
-  void add(int fd, bool want_read, bool want_write) override {
-    interest_[fd] = events(want_read, want_write);
-  }
-  void mod(int fd, bool want_read, bool want_write) override {
-    interest_[fd] = events(want_read, want_write);
-  }
-  void del(int fd) override { interest_.erase(fd); }
-  void wait(int timeout_ms, std::vector<PollerEvent>& out) override {
-    fds_.clear();
-    for (const auto& [fd, ev] : interest_) {
-      fds_.push_back(pollfd{fd, ev, 0});
-    }
-    const int n =
-        ::poll(fds_.data(), static_cast<nfds_t>(fds_.size()), timeout_ms);
-    if (n <= 0) return;
-    for (const pollfd& p : fds_) {
-      if (p.revents == 0) continue;
-      PollerEvent pe;
-      pe.fd = p.fd;
-      pe.readable = (p.revents & (POLLIN | POLLHUP)) != 0;
-      pe.writable = (p.revents & POLLOUT) != 0;
-      pe.error = (p.revents & (POLLERR | POLLNVAL)) != 0;
-      out.push_back(pe);
-    }
-  }
-
- private:
-  static short events(bool r, bool w) {
-    return static_cast<short>((r ? POLLIN : 0) | (w ? POLLOUT : 0));
-  }
-  std::map<int, short> interest_;
-  std::vector<pollfd> fds_;
-};
 
 // ---------------------------------------------------------------------------
 
@@ -256,18 +163,18 @@ util::Status OsNetwork::start() {
   make_nonblocking(wake_fds_[0]);
   make_nonblocking(wake_fds_[1]);
 
-#ifdef __linux__
-  if (config_.use_epoll) {
-    poller_ = std::make_unique<EpollPoller>();
-  } else {
-    poller_ = std::make_unique<PollFdPoller>();
+  epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epfd_ < 0) {
+    if (listen_fd_ >= 0) ::close(listen_fd_);
+    listen_fd_ = -1;
+    ::close(wake_fds_[0]);
+    ::close(wake_fds_[1]);
+    wake_fds_[0] = wake_fds_[1] = -1;
+    return {util::Errc::internal, "epoll_create1() failed"};
   }
-#else
-  poller_ = std::make_unique<PollFdPoller>();
-#endif
-  poller_->add(wake_fds_[0], /*read=*/true, /*write=*/false);
+  epoll_watch(epfd_, EPOLL_CTL_ADD, wake_fds_[0], /*want_write=*/false);
   if (listen_fd_ >= 0) {
-    poller_->add(listen_fd_, /*read=*/true, /*write=*/false);
+    epoll_watch(epfd_, EPOLL_CTL_ADD, listen_fd_, /*want_write=*/false);
   }
 
   started_ = true;
@@ -317,6 +224,8 @@ void OsNetwork::stop() {
   if (wake_fds_[0] >= 0) ::close(wake_fds_[0]);
   if (wake_fds_[1] >= 0) ::close(wake_fds_[1]);
   wake_fds_[0] = wake_fds_[1] = -1;
+  ::close(epfd_);
+  epfd_ = -1;
   started_ = false;
 }
 
@@ -544,7 +453,8 @@ util::Duration OsNetwork::next_deadline_delay() {
 // -- event loop -------------------------------------------------------------
 
 void OsNetwork::loop() {
-  std::vector<PollerEvent> events;
+  constexpr int kMaxEvents = 128;
+  epoll_event events[kMaxEvents];
   util::TimePoint flush_deadline = 0;
   while (true) {
     const bool stopping = stopping_.load(std::memory_order_acquire);
@@ -570,33 +480,37 @@ void OsNetwork::loop() {
     const int timeout_ms = static_cast<int>(
         std::min<util::Duration>(delay, util::seconds(1)) /
         util::kMillisecond);
-    events.clear();
-    poller_->wait(stopping ? 1 : std::max(timeout_ms, 0), events);
+    const int ready = ::epoll_wait(epfd_, events, kMaxEvents,
+                                   stopping ? 1 : std::max(timeout_ms, 0));
 
-    for (const PollerEvent& ev : events) {
-      if (ev.fd == wake_fds_[0]) {
+    for (int i = 0; i < ready; ++i) {
+      const int fd = events[i].data.fd;
+      const std::uint32_t what = events[i].events;
+      if (fd == wake_fds_[0]) {
         char buf[256];
         while (::read(wake_fds_[0], buf, sizeof(buf)) > 0) {
         }
         continue;
       }
-      if (ev.fd == listen_fd_) {
+      if (fd == listen_fd_) {
         accept_ready();
         continue;
       }
       std::shared_ptr<Conn> conn;
       {
         const std::lock_guard<std::mutex> lock(io_mutex_);
-        const auto it = conns_by_fd_.find(ev.fd);
+        const auto it = conns_by_fd_.find(fd);
         if (it != conns_by_fd_.end()) conn = it->second;
       }
       if (!conn) continue;
-      if (ev.error) {
+      if ((what & EPOLLERR) != 0) {
         close_conn(conn, "socket error");
         continue;
       }
-      if (ev.writable) conn_writable(conn);
-      if (ev.readable && conn->fd >= 0) conn_readable(conn);
+      if ((what & EPOLLOUT) != 0) conn_writable(conn);
+      if ((what & (EPOLLIN | EPOLLHUP)) != 0 && conn->fd >= 0) {
+        conn_readable(conn);
+      }
     }
 
     run_due_timers();
@@ -612,14 +526,14 @@ void OsNetwork::loop() {
   }
   for (const auto& conn : all) close_conn(conn, "shutdown");
   if (listen_fd_ >= 0) {
-    poller_->del(listen_fd_);
+    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
 }
 
 void OsNetwork::sync_write_interest() {
-  // Senders only enqueue + wake; the loop owns poller interest.  Conn
+  // Senders only enqueue + wake; the loop owns epoll interest.  Conn
   // counts here are per-peer-process, so the scan is tiny.
   const std::lock_guard<std::mutex> lock(io_mutex_);
   for (const auto& [fd, conn] : conns_by_fd_) {
@@ -628,7 +542,7 @@ void OsNetwork::sync_write_interest() {
         conn->state == Conn::State::connecting || !conn->outq.empty();
     if (want != conn->want_write) {
       conn->want_write = want;
-      poller_->mod(fd, /*read=*/true, /*write=*/want);
+      epoll_watch(epfd_, EPOLL_CTL_MOD, fd, want);
     }
   }
 }
@@ -670,7 +584,7 @@ void OsNetwork::accept_ready() {
     }
     conn->registered = true;
     conn->want_write = true;
-    poller_->add(fd, /*read=*/true, /*write=*/true);
+    epoll_watch(epfd_, EPOLL_CTL_ADD, fd, /*want_write=*/true);
   }
 }
 
@@ -727,7 +641,7 @@ void OsNetwork::start_connect(const std::shared_ptr<Conn>& conn) {
   }
   conn->registered = true;
   conn->want_write = true;
-  poller_->add(fd, /*read=*/true, /*write=*/true);
+  epoll_watch(epfd_, EPOLL_CTL_ADD, fd, /*want_write=*/true);
 }
 
 void OsNetwork::arm_reconnect(const std::shared_ptr<Conn>& conn) {
@@ -830,7 +744,7 @@ void OsNetwork::flush(const std::shared_ptr<Conn>& conn) {
       if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
         const std::lock_guard<std::mutex> lock(io_mutex_);
         ++os_stats_.eagain_writes;
-        return;  // tail stays queued; poller interest re-arms it
+        return;  // tail stays queued; epoll interest re-arms it
       }
       close_conn(conn, "write failed");
       return;
@@ -971,7 +885,7 @@ void OsNetwork::close_conn(const std::shared_ptr<Conn>& conn,
   DISCOVER_LOG(debug, "osnet")
       << "close " << (conn->addr_key.empty() ? "<inbound>" : conn->addr_key)
       << ": " << why;
-  if (conn->registered) poller_->del(conn->fd);
+  if (conn->registered) ::epoll_ctl(epfd_, EPOLL_CTL_DEL, conn->fd, nullptr);
   ::close(conn->fd);
   bool retry = false;
   {

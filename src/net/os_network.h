@@ -4,9 +4,8 @@
 // the wire, which is what "global access" in the paper actually requires.
 // Shape (after RethinkDB's conn_acceptor / event-queue split):
 //
-//  * one nonblocking event-loop thread — epoll on Linux, poll(2) fallback —
-//    owns the listening acceptor, every connection's reads/writes, and the
-//    timer wheel;
+//  * one nonblocking epoll event-loop thread owns the listening acceptor,
+//    every connection's reads/writes, and the timer wheel;
 //  * one worker thread per *local* node (actor model, exactly like
 //    ThreadNetwork): handlers and timer callbacks run on the node's own
 //    worker, never on the I/O thread;
@@ -65,8 +64,6 @@ struct OsNetworkConfig {
   /// A pure-client process (all sends flow over its outbound connections)
   /// may turn the acceptor off entirely.
   bool listen = true;
-  /// false forces the portable poll(2) event loop even where epoll exists.
-  bool use_epoll = true;
   std::size_t max_frame_payload = kDefaultMaxFramePayload;
   /// Per-connection cap on queued-but-unsent bytes; sends beyond it are
   /// dropped and counted (slow peer = bounded memory, like the outboxes).
@@ -200,8 +197,8 @@ class OsNetwork final : public Network {
     FrameDecoder decoder;
     std::deque<OutChunk> outq;
     std::size_t outq_bytes = 0;
-    bool registered = false;   // known to the poller
-    bool want_write = false;   // current poller write interest
+    bool registered = false;   // known to epoll
+    bool want_write = false;   // current epoll write interest
     std::uint32_t reconnect_attempts = 0;
     bool reconnect_armed = false;
   };
@@ -216,10 +213,6 @@ class OsNetwork final : public Network {
       return id > other.id;
     }
   };
-
-  class Poller;
-  class EpollPoller;
-  class PollFdPoller;
 
   void loop();
   void worker_loop(NodeRec& node);
@@ -257,7 +250,7 @@ class OsNetwork final : public Network {
   int listen_fd_ = -1;
   std::uint16_t bound_port_ = 0;
   int wake_fds_[2] = {-1, -1};
-  std::unique_ptr<Poller> poller_;
+  int epfd_ = -1;  // the event loop's epoll instance
   std::thread loop_thread_;
 
   mutable std::mutex io_mutex_;

@@ -292,6 +292,54 @@ TEST_F(HttpStackTest, DeferredReplyReachesClientWithCorrelation) {
   EXPECT_EQ(got, "deferred");
 }
 
+// Defers, then completes before returning (the hop it deferred for ran
+// inline).
+class InlineDeferringServlet : public Servlet {
+ public:
+  void service(const HttpRequest&, HttpResponse&,
+               ServletContext& ctx) override {
+    auto reply = ctx.defer();
+    HttpResponse resp;
+    resp.headers.set("Content-Type", "text/plain");
+    resp.body = util::to_bytes("same");
+    reply->complete(std::move(resp));
+    ++hits;
+  }
+  int hits = 0;
+};
+
+class RawReplies : public net::MessageHandler {
+ public:
+  void on_message(const net::Message& msg) override {
+    replies.push_back(util::to_string(msg.payload.bytes()));
+  }
+  std::vector<std::string> replies;
+};
+
+TEST_F(HttpStackTest, DeferralCompletedInsideServiceIsSentAsDirectReply) {
+  auto servlet = std::make_shared<InlineDeferringServlet>();
+  server_node_->container->mount("/inline", servlet);
+  RawReplies raw;
+  const net::NodeId raw_id = net_.add_node("raw", &raw);
+  HttpRequest req;
+  req.path = "/inline";
+  req.headers.set("X-Request-Id", "7");
+  for (int i = 0; i < 2; ++i) {
+    net_.send(raw_id, server_id_, net::Channel::http, serialize(req));
+    net_.run_until_idle();
+  }
+  // Container headers first, then the servlet's — exactly what a servlet
+  // writing into its response argument produces.
+  const std::string direct =
+      "HTTP/1.0 200 OK\r\nSet-Cookie: DISCOVERID=1\r\nX-Request-Id: 7\r\n"
+      "Content-Type: text/plain\r\nContent-Length: 4\r\n\r\nsame";
+  ASSERT_EQ(raw.replies.size(), 2u);
+  EXPECT_EQ(raw.replies[0], direct);
+  // The retry is answered from the duplicate-request cache.
+  EXPECT_EQ(raw.replies[1], direct);
+  EXPECT_EQ(servlet->hits, 1);
+}
+
 TEST_F(HttpStackTest, SessionExpiry) {
   HttpRequest req;
   req.path = "/echo";

@@ -558,36 +558,6 @@ TEST(OsNetworkTest, PortInUseIsTypedUnavailable) {
   first.stop();
 }
 
-TEST(OsNetworkTest, PollFallbackCarriesTraffic) {
-  // Force the portable poll(2) event loop on both ends.
-  net::OsNetworkConfig cfg_b;
-  cfg_b.use_epoll = false;
-  net::OsNetwork b(cfg_b);
-  b.add_remote("src", "127.0.0.1", 0);
-  CaptureHandler sink;
-  const net::NodeId dst = b.add_node("sink", &sink);
-  ASSERT_TRUE(b.start().ok());
-
-  net::OsNetworkConfig cfg_a;
-  cfg_a.use_epoll = false;
-  cfg_a.listen = false;
-  net::OsNetwork a(cfg_a);
-  NullHandler src_handler;
-  const net::NodeId src = a.add_node("src", &src_handler);
-  a.add_remote("sink", "127.0.0.1", b.listen_port());
-  ASSERT_TRUE(a.start().ok());
-
-  for (int i = 0; i < 50; ++i) {
-    a.send(src, dst, net::Channel::command,
-           bytes_of("poll-fallback " + std::to_string(i)));
-  }
-  ASSERT_TRUE(sink.wait_count(50, util::seconds(20)));
-  const auto got = sink.snapshot();
-  EXPECT_EQ(got[49].second, bytes_of("poll-fallback 49"));
-  a.stop();
-  b.stop();
-}
-
 TEST(OsNetworkTest, RepeatedTimerChainTicks) {
   // Self-rescheduling 1ms timers are how every app drives its compute loop;
   // the chain must keep firing indefinitely.

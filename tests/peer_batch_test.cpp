@@ -366,6 +366,80 @@ TEST(PeerBatchMixedVersion, LegacyPeerFallsBackToSingularForwarding) {
   }));
 }
 
+// A resync marker describes one client's FIFO loss; one arriving as an app
+// event inside a peer's forward_events batch reaches no session, while the
+// events around it still flow.
+TEST(PeerBatchResync, ForwardedResyncMarkerReachesNoSession) {
+  workload::ScenarioConfig cfg;
+  cfg.server_template.peer_refresh_period = util::milliseconds(100);
+  cfg.server_template.client_fifo_cap = 0;  // no shedding, no local markers
+  workload::Scenario scenario(cfg);
+  auto& near = scenario.add_server("near", 1);
+  auto& host = scenario.add_server("host", 2);
+  auto& app = scenario.add_app<app::SyntheticApp>(host, watched_app("shared"),
+                                                  app::SyntheticSpec{});
+  scenario.add_app<app::SyntheticApp>(near, watched_app("identity"),
+                                      app::SyntheticSpec{});
+  ASSERT_TRUE(scenario.run_until([&] {
+    return app.registered() && near.peer_count() == 1 &&
+           host.peer_count() == 1;
+  }));
+  const proto::AppId id = app.app_id();
+  auto& alice = scenario.add_client("u0", near);
+  ASSERT_TRUE(workload::sync_login(scenario.net(), alice).value().ok);
+  ASSERT_TRUE(workload::sync_select(scenario.net(), alice, id).value().ok);
+
+  // Find near's DiscoverCorbaServer through the trader and push it one
+  // batch: a resync marker, then a chat, both past any real host seq.
+  orb::Orb& orb = scenario.registry().orb();
+  orb::TraderClient trader(orb, scenario.registry().trader_ref());
+  orb::ObjectRef near_ref;
+  trader.query("DISCOVER", "",
+               [&](util::Result<std::vector<orb::ServiceOffer>> r) {
+                 ASSERT_TRUE(r.ok());
+                 for (const auto& offer : r.value()) {
+                   if (offer.ref.node == near.node().value()) {
+                     near_ref = offer.ref;
+                   }
+                 }
+               });
+  ASSERT_TRUE(scenario.run_until([&] { return near_ref.valid(); }));
+  proto::ClientEvent marker;
+  marker.kind = proto::EventKind::resync;
+  marker.app = id;
+  marker.seq = 1'000'000;
+  marker.text = "forwarded marker";
+  proto::ClientEvent chat;
+  chat.kind = proto::EventKind::chat;
+  chat.app = id;
+  chat.seq = 1'000'001;
+  chat.user = "u1";
+  chat.text = "after the marker";
+  proto::EventFrame frame;
+  frame.app = id;
+  frame.seq_first = marker.seq;
+  frame.seq_last = chat.seq;
+  frame.events = {marker, chat};
+  wire::Encoder args;
+  proto::encode_event_frames(args, {frame});
+  bool acked = false;
+  orb.invoke(near_ref, "forward_events", std::move(args),
+             [&](util::Result<util::Bytes> r) {
+               EXPECT_TRUE(r.ok());
+               acked = true;
+             });
+  ASSERT_TRUE(scenario.run_until([&] { return acked; }));
+
+  ASSERT_TRUE(workload::sync_poll(scenario.net(), alice, id).value().ok);
+  const auto evs = alice.received_events();
+  EXPECT_TRUE(std::any_of(evs.begin(), evs.end(), [](const auto& ev) {
+    return ev.kind == proto::EventKind::chat && ev.text == "after the marker";
+  }));
+  EXPECT_FALSE(std::any_of(evs.begin(), evs.end(), [](const auto& ev) {
+    return ev.kind == proto::EventKind::resync;
+  }));
+}
+
 // ---------------------------------------------------------------------------
 // Backpressure: suspect peer -> bounded outbox, update shedding, heal drain
 // ---------------------------------------------------------------------------

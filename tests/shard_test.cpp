@@ -10,7 +10,9 @@
 //    shard_count = 1;
 //  * end-to-end — a shard_count = 4 server on the ThreadNetwork serves
 //    login/select/collab/steering/history across cores, the merged
-//    /metrics scrape sums per-core registries, and stats_sum() adds up.
+//    /metrics scrape sums per-core registries, and stats_sum() adds up;
+//  * admission — the per-app cap counts watchers held on every core, also
+//    for a select that arrives on the app's own core.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -436,7 +438,68 @@ TEST(ShardedThreadServer, EndToEndAcrossCores) {
   }
 }
 
-TEST(ShardedThreadServer, ShardCountOneIsTheLegacyPath) {
+// Per-app admission counts watchers on every core: sessions on a sibling
+// core hold watcher refcounts on the owner, and a select arriving on the
+// owner core itself must see them too.
+TEST(ShardedThreadServer, AppAdmissionCapCountsWatchersOnEveryCore) {
+  constexpr std::uint32_t kShards = 2;
+  core::ServerConfig tmpl;
+  tmpl.shard_count = kShards;
+  tmpl.max_sessions_per_app = 2;
+  workload::ThreadScenario scenario(tmpl);
+  auto& server = scenario.add_server("capped");
+
+  static const char* const kUsers[] = {"u0", "u1", "u2", "u3", "u4", "u5"};
+  app::AppConfig cfg;
+  cfg.name = "capped-app";
+  for (const char* user : kUsers) {
+    cfg.acl.push_back(security::AclEntry{user, Privilege::steer, 0});
+  }
+  cfg.step_time = util::milliseconds(1);
+  cfg.update_every = 5;
+  auto& app = scenario.add_app<app::SyntheticApp>(server, cfg,
+                                                  app::SyntheticSpec{});
+  std::vector<core::DiscoverClient*> clients;
+  for (const char* user : kUsers) {
+    clients.push_back(&scenario.add_client(user, server));
+  }
+  scenario.start();
+  ASSERT_TRUE(workload::wait_for(scenario.net(),
+                                 [&] { return app.registered(); },
+                                 util::seconds(30)));
+
+  const std::uint32_t owner =
+      DiscoverServer::shard_of_node(app.node().value(), kShards);
+  std::vector<core::DiscoverClient*> sibling;
+  core::DiscoverClient* on_owner = nullptr;
+  for (auto* c : clients) {
+    if (DiscoverServer::shard_of_node(c->node().value(), kShards) == owner) {
+      if (on_owner == nullptr) on_owner = c;
+    } else if (sibling.size() < 2) {
+      sibling.push_back(c);
+    }
+  }
+  ASSERT_EQ(sibling.size(), 2u);
+  ASSERT_NE(on_owner, nullptr);
+
+  for (auto* c : sibling) {
+    ASSERT_TRUE(workload::sync_login(scenario.net(), *c).value().ok);
+    auto sel = workload::sync_select(scenario.net(), *c, app.app_id());
+    ASSERT_TRUE(sel.ok());
+    ASSERT_TRUE(sel.value().ok) << sel.value().message;
+  }
+  ASSERT_TRUE(workload::sync_login(scenario.net(), *on_owner).value().ok);
+  auto third = workload::sync_select(scenario.net(), *on_owner, app.app_id());
+  ASSERT_TRUE(third.ok());
+  EXPECT_FALSE(third.value().ok);
+  EXPECT_EQ(third.value().admission, proto::AdmissionError::app_sessions);
+
+  scenario.stop();
+  EXPECT_EQ(server.stats_sum().admission_rejected_selects, 1u);
+  EXPECT_EQ(server.stats_sum().selects_ok, 2u);
+}
+
+TEST(ShardedThreadServer, ShardCountOneIsAGroupOfOne) {
   core::ServerConfig tmpl;
   tmpl.shard_count = 1;
   workload::ThreadScenario scenario(tmpl);
