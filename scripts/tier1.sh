@@ -5,6 +5,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The golden-fixture tests re-record their fixtures when this is set, and a
+# re-record is not a check.
+if [[ -n "${DISCOVER_GOLDEN_UPDATE+x}" ]]; then
+  echo "tier1: DISCOVER_GOLDEN_UPDATE is set; unset it to verify" >&2
+  exit 1
+fi
+
 echo "== tier 1: build + full ctest =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$(nproc)"

@@ -13,11 +13,18 @@
 
 namespace discover::core {
 
+namespace {
+/// Archived events kept per application (SessionArchive bound).
+constexpr std::size_t kArchiveCapPerApp = 4096;
+/// Spans kept in each core's /discover/trace ring.
+constexpr std::size_t kTraceRingCap = 2048;
+}  // namespace
+
 DiscoverServer::DiscoverServer(net::Network& network, ServerConfig config)
     : network_(network),
       config_(std::move(config)),
       tokens_(0, config_.token_secret),
-      archive_(config_.archive_cap_per_app,
+      archive_(kArchiveCapPerApp,
                config_.mirror_archive_to_db ? &db_ : nullptr) {}
 
 DiscoverServer::~DiscoverServer() {
@@ -71,7 +78,7 @@ void DiscoverServer::attach(net::NodeId self) {
         [grp = group_](net::Message msg) { grp->route_message(msg); });
   }
   tracer_.configure(self.value(), config_.trace_sample_every,
-                    config_.trace_ring_cap, shard_index_, shard_bits_);
+                    kTraceRingCap, shard_index_, shard_bits_);
   container_->set_tracer(&tracer_);
   orb_->set_tracer(&tracer_);
   register_metrics();
@@ -217,20 +224,23 @@ void DiscoverServer::on_message(const net::Message& msg) {
   dispatch_message(msg);
 }
 
+void DiscoverServer::burn_calibrated(util::Duration cost) const {
+  if (config_.servlet_cost_sleeps) {
+    std::this_thread::sleep_for(std::chrono::nanoseconds(cost));
+    return;
+  }
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::nanoseconds(cost);
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
 void DiscoverServer::dispatch_message(const net::Message& msg) {
   switch (msg.channel) {
     case net::Channel::http:
       if (config_.servlet_cpu_cost > 0) {
         // Calibrated servlet-processing burn (see ServerConfig).
-        if (config_.servlet_cost_sleeps) {
-          std::this_thread::sleep_for(
-              std::chrono::nanoseconds(config_.servlet_cpu_cost));
-        } else {
-          const auto until = std::chrono::steady_clock::now() +
-                             std::chrono::nanoseconds(config_.servlet_cpu_cost);
-          while (std::chrono::steady_clock::now() < until) {
-          }
-        }
+        burn_calibrated(config_.servlet_cpu_cost);
       }
       container_->handle(msg);
       live_requests_.fetch_add(1, std::memory_order_relaxed);
@@ -243,16 +253,7 @@ void DiscoverServer::dispatch_message(const net::Message& msg) {
         // Calibrated app-event processing burn (see ServerConfig): models
         // the per-update ingest + fan-out work that sharding parallelizes,
         // paid on the owning core.
-        if (config_.servlet_cost_sleeps) {
-          std::this_thread::sleep_for(
-              std::chrono::nanoseconds(config_.app_event_cpu_cost));
-        } else {
-          const auto until =
-              std::chrono::steady_clock::now() +
-              std::chrono::nanoseconds(config_.app_event_cpu_cost);
-          while (std::chrono::steady_clock::now() < until) {
-          }
-        }
+        burn_calibrated(config_.app_event_cpu_cost);
       }
       handle_app_channel(msg);
       return;
@@ -589,45 +590,8 @@ void DiscoverServer::deliver_local_impl(const proto::AppId& app,
   // Sessions whose FIFO overflowed under the disconnect policy; dropped
   // only after the delivery loop finishes iterating.
   std::vector<std::uint64_t> overflow_keys;
-  if (!config_.fanout_fast_path) {
-    // Legacy path (pre-index cost model, kept for A/B benchmarking): scan
-    // every session and re-serialize / re-copy the event per recipient.
-    for (auto& [key, session] : sessions_) {
-      const auto it = session.apps.find(app);
-      if (it == session.apps.end()) continue;
-      ClientSub& sub = it->second;
-      if (!should_deliver(session, sub, ev)) continue;
-      if (sub.push) {
-        network_.send(self_, session.client_node, net::Channel::http,
-                      serialize_push_message(ev));
-      } else {
-        fifo_push(sub, std::make_shared<const proto::ClientEvent>(ev));
-        if (fifo_over_limit(sub)) {
-          if (config_.fifo_overflow == FifoOverflowPolicy::shed_oldest) {
-            shed_fifo_overflow(sub);
-          } else {
-            overflow_keys.push_back(key);
-          }
-        }
-      }
-      ++stats_.events_delivered;
-      if ((ev.kind == proto::EventKind::response ||
-           ev.kind == proto::EventKind::error) &&
-          session.user == ev.user) {
-        archive_.log_interaction(session.user, ev);
-      }
-    }
-    // Disconnect-policy enforcement is deferred past the loop: drop_session
-    // mutates sessions_ (and the subscriber index) under our feet.
-    for (const std::uint64_t key : overflow_keys) {
-      ++stats_.overflow_disconnects;
-      drop_session(key);
-    }
-    return;
-  }
-
-  // Fast path: O(subscribers of this app), with all per-event work hoisted
-  // out of the recipient loop and materialized lazily on first use.
+  // O(subscribers of this app), with all per-event work hoisted out of the
+  // recipient loop and materialized lazily on first use.
   const auto idx = subscribers_.find(app);
   if (idx == subscribers_.end()) return;
   net::Payload push_wire;          // encode-once wire bytes (push recipients)

@@ -131,9 +131,9 @@ struct ServerConfig {
   /// forward_events batch when the first of three triggers fires: the
   /// batch reaches peer_batch_max_events, its encoded payload reaches
   /// peer_batch_max_bytes, or peer_flush_delay elapses since the first
-  /// queued event (Nagle).  A zero delay disables the outbox entirely and
-  /// reproduces the legacy one-ORB-call-per-event wire behaviour — kept
-  /// for A/B, mirroring fanout_fast_path.
+  /// queued event (Nagle).  A zero delay disables the outbox entirely:
+  /// one forward_event ORB call per event and a direct forward_collab per
+  /// relayed post (the per-event arm of experiment E7).
   util::Duration peer_flush_delay = util::milliseconds(5);
   std::size_t peer_batch_max_events = 64;
   std::size_t peer_batch_max_bytes = 48 * 1024;
@@ -143,22 +143,6 @@ struct ServerConfig {
   /// is dropped and counted in outbox_dropped.
   std::size_t peer_outbox_cap = 1024;
 
-  /// Versioned peer directory: each refresh round fetch every live peer's
-  /// application directory via list_apps_since as a delta against the last
-  /// seen (epoch, version).  false = request a full snapshot every round
-  /// (legacy A/B for the delta machinery).
-  bool peer_dir_deltas = true;
-  /// Bounded host-side directory change log; callers further behind than
-  /// this get a full snapshot.
-  std::size_t dir_log_cap = 128;
-
-  /// TEST ONLY (mixed-version rolling upgrade): emulate a pre-outbox peer
-  /// build whose DiscoverCorbaServer knows neither forward_events nor
-  /// list_apps_since.  New hosts must detect the rejection and fall back
-  /// to singular forward_event calls.
-  bool emulate_legacy_peer = false;
-
-  std::size_t archive_cap_per_app = 4096;
   /// Mirror archived events into the record store (exercises §6.3
   /// ownership); costs memory in long benches, so optional.
   bool mirror_archive_to_db = false;
@@ -166,13 +150,6 @@ struct ServerConfig {
   /// Resource-usage policy applied to each peer server (§6.3); zero limits
   /// disable enforcement.
   security::AccessPolicy peer_policy{};
-
-  /// Fan-out fast path (see DESIGN.md "Fan-out fast path"): deliver events
-  /// through the per-app subscriber index with one serialization per event
-  /// and shared event instances in the poll FIFOs.  When false,
-  /// deliver_local falls back to the legacy full-session scan with
-  /// per-recipient encoding — kept for A/B benchmarking of the fast path.
-  bool fanout_fast_path = true;
 
   /// Application liveness: a local application is force-deregistered when
   /// no Main/Response-channel traffic arrives for `app_liveness_factor`
@@ -223,7 +200,6 @@ struct ServerConfig {
   /// each stride of N.  Ids are counter-based, so Sim runs stay
   /// byte-identical per seed.
   std::uint64_t trace_sample_every = 16;
-  std::size_t trace_ring_cap = 2048;
   /// Per-stage latency histograms (login, select, poll, deliver_local,
   /// outbox flush RTT, lock acquire->grant), exported via /discover/metrics.
   /// Same stride semantics as trace_sample_every; 0 disables the
@@ -348,9 +324,7 @@ class DiscoverServer final : public net::MessageHandler {
   /// registry runs standalone.  On a sharded server (call after attach())
   /// every core gets the naming service — each resolves remote apps through
   /// its own ORB — while trader discovery, export and peer health stay on
-  /// core 0.  Throws std::invalid_argument for config combinations that
-  /// cannot federate (shard_count > 1 with emulate_legacy_peer: the
-  /// emulated pre-outbox build predates sharding).
+  /// core 0.
   void set_registry(orb::ObjectRef naming, orb::ObjectRef trader);
   /// Optional global identity directory (a GIS-style servant answering
   /// "list_identities"); §6.3: lets users log in at servers where no local
@@ -605,19 +579,16 @@ class DiscoverServer final : public net::MessageHandler {
     std::uint64_t dir_epoch = 0;
     std::uint64_t dir_version = 0;
     bool dir_inflight = false;
-    bool dir_unsupported = false;  // pre-outbox build; stop asking
   };
 
   /// One queued outbox event.  `encoded` is the standalone CDR encoding of
   /// the event, produced once and shared by every peer outbox the event
-  /// lands in; flushes splice it into the batch without re-encoding.  The
-  /// decoded event is kept alongside for the legacy singular fallback.
+  /// lands in; flushes splice it into the batch without re-encoding.
   struct OutboxItem {
     proto::EventFrameKind frame_kind = proto::EventFrameKind::push;
     proto::AppId app;
     std::uint64_t seq = 0;  // 0 for collab_relay
     proto::EventKind kind = proto::EventKind::system;
-    proto::SharedClientEvent event;
     std::shared_ptr<const util::Bytes> encoded;
     /// Ambient trace context at enqueue time (invalid when unsampled).  A
     /// flush runs under the first traced item's context so the batched
@@ -640,7 +611,6 @@ class DiscoverServer final : public net::MessageHandler {
     std::size_t bytes = 0;  // encoded payload estimate of `items`
     net::TimerId flush_timer{0};
     bool inflight = false;
-    bool legacy_peer = false;  // peer rejected forward_events; go singular
   };
 
   class MasterServlet;
@@ -681,6 +651,10 @@ class DiscoverServer final : public net::MessageHandler {
   /// Demultiplexes one message by channel; on a sharded server it runs on
   /// the owning core's shard worker.
   void dispatch_message(const net::Message& msg);
+  /// Spends one calibrated cost (servlet_cpu_cost, app_event_cpu_cost):
+  /// sleeps when servlet_cost_sleeps, else busy-spins.  Callers test the
+  /// cost for > 0 first, so an uncalibrated request pays one compare.
+  void burn_calibrated(util::Duration cost) const;
   /// Runs `fn` in shard `idx`'s execution context (inline in a group of
   /// one or when already on that shard's worker).
   void post_shard(std::uint32_t idx, std::function<void()> fn);
@@ -784,13 +758,10 @@ class DiscoverServer final : public net::MessageHandler {
   void drain_outbox_if_any(std::uint32_t node);
   /// Re-arms the flush timer after a failed batch left requeued items.
   void ob_arm_retry(std::uint32_t node);
-  /// Legacy singular send for one item (peer_flush_delay==0 never builds
-  /// items; this serves the mixed-version fallback).
-  void send_item_legacy(std::uint32_t node, const OutboxItem& item);
   /// Relays a local client's collab post toward the app's host: through
   /// the outbox when batching is on and the host's level-1 ref is known,
-  /// else a direct forward_collab (the legacy wire behaviour).
-  void relay_collab_to_host(AppEntry& entry, proto::ClientEvent ev);
+  /// else a direct forward_collab to the app's CorbaProxy.
+  void relay_collab_to_host(AppEntry& entry, const proto::ClientEvent& ev);
   /// forward_events servant body.  A sharded receiver scatters the frames
   /// to their owning cores by shard_of_app (a peer batch mixes apps owned
   /// by different cores); each core then applies its own frames.
@@ -810,7 +781,8 @@ class DiscoverServer final : public net::MessageHandler {
   void directory_update_since(std::uint64_t epoch, std::uint64_t since,
                               std::function<void(proto::DirectoryUpdate)> done);
   [[nodiscard]] proto::AppInfo app_info_of(const AppEntry& entry) const;
-  /// Fetches `peer`'s directory (delta or full per config) this round.
+  /// Fetches `peer`'s directory this round: a delta against the cached
+  /// (epoch, version), or a full snapshot when the host cannot serve one.
   void refresh_peer_directory(Peer& peer);
   void apply_directory_update(Peer& peer, const proto::DirectoryUpdate& upd);
 
@@ -883,8 +855,9 @@ class DiscoverServer final : public net::MessageHandler {
   void handle_peer_down(std::uint32_t origin);
   /// Encodes and pushes one MONITORING report, then reschedules.  The
   /// metrics map is the merge of every core's snapshot.
-  void send_monitoring_report(std::map<std::string, std::int64_t> metrics,
-                              std::function<void()> reschedule);
+  void send_monitoring_report(
+      const std::map<std::string, std::int64_t>& metrics,
+      std::function<void()> reschedule);
   // Sharded federation (DESIGN.md §5j): peer discovery and health live on
   // core 0; the entries (ref + per-core limiter + suspect flag) are
   // replicated so every core can reach every peer through its own ORB.
@@ -1020,7 +993,7 @@ class DiscoverServer final : public net::MessageHandler {
   /// from AppEntry::subscribers and may precede trader discovery.
   std::map<std::uint32_t, PeerOutbox> outboxes_;
   /// Directory change log: (version, app, removed).  Bounded by
-  /// config_.dir_log_cap; callers behind the tail get a full snapshot.
+  /// kDirLogCap; callers behind the tail get a full snapshot.
   struct DirLogEntry {
     std::uint64_t version = 0;
     proto::AppId app;

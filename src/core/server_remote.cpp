@@ -4,10 +4,7 @@
 #include "core/server.h"
 
 #include <algorithm>
-#include <chrono>
 #include <iterator>
-#include <stdexcept>
-#include <thread>
 
 #include "util/log.h"
 
@@ -54,6 +51,10 @@ std::shared_ptr<const util::Bytes> encode_event_standalone(
 /// Conservative per-item wire overhead (frame headers, alignment) used for
 /// the peer_batch_max_bytes trigger.
 constexpr std::size_t kOutboxItemOverhead = 32;
+
+/// Bound on the host-side directory change log; callers further behind
+/// than this get a full snapshot.
+constexpr std::size_t kDirLogCap = 128;
 
 /// Core visit order is deterministic but an implementation detail; replies
 /// list applications in app-id order, as one core's table would.
@@ -138,10 +139,9 @@ class DiscoverServer::DiscoverCorbaServerServant final : public orb::Servant {
             deferred->reply(std::move(reply));
           });
     } else if (method == "forward_event") {
-      // Push-mode delivery from an application's host server.  Kept as a
-      // compat alias beside forward_events so a new host can push to this
-      // server during a rolling upgrade, and as the peer_flush_delay==0
-      // legacy wire format.  The remote entry lives on shard_of_app's core.
+      // Push-mode delivery from an application's host server with the
+      // outbox off (peer_flush_delay == 0): one call per event.  The remote
+      // entry lives on shard_of_app's core.
       const proto::AppId app = proto::decode_app_id(args);
       const auto events = decode_event_seq(args);
       const std::uint32_t owner = s.shard_owner_of(app);
@@ -152,7 +152,7 @@ class DiscoverServer::DiscoverCorbaServerServant final : public orb::Servant {
           core->ingest_remote_events(*entry, events);
         }
       });
-    } else if (method == "forward_events" && !s.config_.emulate_legacy_peer) {
+    } else if (method == "forward_events") {
       // Batched peer outbox flush: push frames for apps hosted at the
       // caller plus collab posts relayed toward apps hosted here.
       if (ctx.requester != s.self_ &&
@@ -161,8 +161,7 @@ class DiscoverServer::DiscoverCorbaServerServant final : public orb::Servant {
                                 "peer rate limit exceeded"};
       }
       s.ingest_event_frames(proto::decode_event_frames(args));
-    } else if (method == "list_apps_since" &&
-               !s.config_.emulate_legacy_peer) {
+    } else if (method == "list_apps_since") {
       // Versioned directory fetch: delta against the caller's cached
       // (epoch, version), or a full snapshot when it is out of range.
       const std::uint64_t epoch = args.u64();
@@ -295,13 +294,6 @@ orb::ObjectRef DiscoverServer::activate_corba_proxy(AppEntry& entry) {
 
 void DiscoverServer::set_registry(orb::ObjectRef naming,
                                   orb::ObjectRef trader) {
-  if (sharded() && config_.emulate_legacy_peer) {
-    // The emulated pre-outbox peer build predates sharding; refusing at
-    // startup beats a half-configured federation that drops batches.
-    throw std::invalid_argument(
-        "shard_count > 1 cannot federate with emulate_legacy_peer: the "
-        "emulated legacy peer build predates sharding");
-  }
   // Called from outside the shard workers (DESIGN.md §5j), so distribute
   // the refs through the shard queues and let each core configure its own
   // ORB clients in its own context.  Every core gets the naming service —
@@ -456,11 +448,6 @@ void DiscoverServer::refresh_peers() {
 }
 
 void DiscoverServer::set_identity_directory(orb::ObjectRef directory) {
-  if (sharded() && config_.emulate_legacy_peer) {
-    throw std::invalid_argument(
-        "shard_count > 1 cannot federate with emulate_legacy_peer: the "
-        "emulated legacy peer build predates sharding");
-  }
   // Core 0 owns the refresh loop; it replicates the cache to the other
   // cores after each pull (replicate_identities_to_cores).
   post_shard(0, [this, directory] {
@@ -527,18 +514,13 @@ void DiscoverServer::report_monitoring() {
 }
 
 void DiscoverServer::send_monitoring_report(
-    std::map<std::string, std::int64_t> metrics,
+    const std::map<std::string, std::int64_t>& metrics,
     std::function<void()> reschedule) {
   wire::Encoder args;
   args.str(config_.name);
-  // The report is the registry's flat snapshot — every counter, gauge and
-  // histogram summary registered in register_metrics() — plus legacy key
-  // aliases older MONITORING consumers pin.  The aliases read from the
-  // merged map rather than this core's stats_ so the report carries
-  // node-wide totals.
-  metrics["updates"] = metrics["updates_processed"];
-  metrics["commands"] = metrics["commands_accepted"];
-  metrics["events_shed"] = metrics["events_dropped"];
+  // The report is the registry's flat snapshot, merged across cores:
+  // every counter, gauge and histogram summary registered in
+  // register_metrics().
   args.map(metrics, [](wire::Encoder& e, const std::string& k) { e.str(k); },
            [](wire::Encoder& e, std::int64_t v) { e.i64(v); });
   orb_->invoke(monitoring_ref_, "report", std::move(args),
@@ -1029,15 +1011,7 @@ void DiscoverServer::deliver_remote(AppEntry& entry,
     // Calibrated per-event ingest burn (see ServerConfig), paid on the
     // owning core: the federation bench prices how inbound peer traffic
     // parallelises across shards.
-    if (config_.servlet_cost_sleeps) {
-      std::this_thread::sleep_for(
-          std::chrono::nanoseconds(config_.app_event_cpu_cost));
-    } else {
-      const auto until = std::chrono::steady_clock::now() +
-                         std::chrono::nanoseconds(config_.app_event_cpu_cost);
-      while (std::chrono::steady_clock::now() < until) {
-      }
-    }
+    burn_calibrated(config_.app_event_cpu_cost);
   }
   deliver_local(entry.id, ev);
   if (!entry.watcher_shards.empty()) fan_out_to_watcher_shards(entry, ev);
@@ -1063,14 +1037,12 @@ void DiscoverServer::push_to_subscribers(AppEntry& entry,
   // Outbox path: serialize the event once, share the bytes across every
   // subscriber's outbox, let the flush triggers coalesce.
   const auto encoded = encode_event_standalone(ev);
-  const auto shared_ev = std::make_shared<const proto::ClientEvent>(ev);
   for (const auto& [node, ref] : entry.subscribers) {
     OutboxItem item;
     item.frame_kind = proto::EventFrameKind::push;
     item.app = entry.id;
     item.seq = ev.seq;
     item.kind = ev.kind;
-    item.event = shared_ev;
     item.encoded = encoded;
     outbox_append(node, ref, std::move(item));
     ++stats_.peer_events_out;
@@ -1082,15 +1054,12 @@ void DiscoverServer::push_to_subscribers(AppEntry& entry,
 // ---------------------------------------------------------------------------
 
 void DiscoverServer::relay_collab_to_host(AppEntry& entry,
-                                          proto::ClientEvent ev) {
+                                          const proto::ClientEvent& ev) {
   const std::uint32_t host = entry.corba_proxy.node;
   const Peer* peer = peer_by_node(host);
-  const auto ob = outboxes_.find(host);
-  const bool batch = config_.peer_flush_delay > 0 && peer != nullptr &&
-                     peer->server_ref.valid() &&
-                     (ob == outboxes_.end() || !ob->second.legacy_peer);
-  if (!batch) {
-    // Legacy wire behaviour: direct forward_collab to the app's CorbaProxy.
+  if (config_.peer_flush_delay == 0 || peer == nullptr ||
+      !peer->server_ref.valid()) {
+    // Unbatched: a direct forward_collab to the app's CorbaProxy.
     wire::Encoder args;
     proto::encode(args, ev);
     invoke_peer(host, entry.corba_proxy, "forward_collab", std::move(args),
@@ -1102,7 +1071,6 @@ void DiscoverServer::relay_collab_to_host(AppEntry& entry,
   item.app = entry.id;
   item.kind = ev.kind;
   item.encoded = encode_event_standalone(ev);
-  item.event = std::make_shared<const proto::ClientEvent>(std::move(ev));
   outbox_append(host, peer->server_ref, std::move(item));
 }
 
@@ -1114,10 +1082,6 @@ void DiscoverServer::outbox_append(std::uint32_t node,
   item.trace = tracer_.current();
   PeerOutbox& ob = outboxes_[node];
   ob.ref = ref;
-  if (ob.legacy_peer) {
-    send_item_legacy(node, item);
-    return;
-  }
   if (ob.items.size() >= config_.peer_outbox_cap &&
       config_.peer_outbox_cap > 0) {
     // Backpressure: prefer shedding a periodic state update (a newer one
@@ -1242,17 +1206,6 @@ void DiscoverServer::flush_outbox(std::uint32_t node, FlushTrigger trigger) {
         if (oit == outboxes_.end()) return;
         PeerOutbox& o = oit->second;
         o.inflight = false;
-        if (!r.ok() && r.error().code == util::Errc::invalid_argument) {
-          // Mixed-version fallback: the peer predates forward_events.
-          // Resend this batch through the singular compat alias and stay
-          // singular for the rest of its lifetime.
-          o.legacy_peer = true;
-          for (const auto& item : sent) send_item_legacy(node, item);
-          for (const auto& item : o.items) send_item_legacy(node, item);
-          o.items.clear();
-          o.bytes = 0;
-          return;
-        }
         if (!r.ok()) {
           // Undelivered (timeout / suspect fail-fast).  Requeue push
           // frames at the front — remote_known_seq makes a double
@@ -1298,28 +1251,6 @@ void DiscoverServer::ob_arm_retry(std::uint32_t node) {
         oit->second.flush_timer = net::TimerId{0};
         flush_outbox(node, FlushTrigger::drain);
       });
-}
-
-void DiscoverServer::send_item_legacy(std::uint32_t node,
-                                      const OutboxItem& item) {
-  if (item.frame_kind == proto::EventFrameKind::push) {
-    wire::Encoder args;
-    proto::encode(args, item.app);
-    encode_event_seq(args, {*item.event});
-    const auto oit = outboxes_.find(node);
-    if (oit == outboxes_.end()) return;
-    invoke_peer(node, oit->second.ref, "forward_event", std::move(args),
-                [](util::Result<util::Bytes>) {}, config_.orb_call_timeout);
-    return;
-  }
-  // Collab relay: singular sends target the app's CorbaProxy, not the
-  // level-1 servant.
-  AppEntry* entry = find_app(item.app);
-  if (entry == nullptr || entry->local) return;
-  wire::Encoder args;
-  proto::encode(args, *item.event);
-  invoke_peer(node, entry->corba_proxy, "forward_collab", std::move(args),
-              [](util::Result<util::Bytes>) {}, config_.orb_call_timeout);
 }
 
 void DiscoverServer::drain_outbox_if_any(std::uint32_t node) {
@@ -1421,7 +1352,7 @@ void DiscoverServer::bump_directory(const proto::AppId& app, bool removed) {
   post_shard(0, [group, app, removed] {
     ++group->dir_version_;
     group->dir_log_.push_back({group->dir_version_, app, removed});
-    while (group->dir_log_.size() > group->config_.dir_log_cap) {
+    while (group->dir_log_.size() > kDirLogCap) {
       group->dir_log_.pop_front();
     }
   });
@@ -1491,14 +1422,12 @@ void DiscoverServer::directory_update_since(
 }
 
 void DiscoverServer::refresh_peer_directory(Peer& peer) {
-  if (peer.dir_inflight || peer.dir_unsupported || peer.suspect) return;
+  if (peer.dir_inflight || peer.suspect) return;
   if (!peer.server_ref.valid()) return;
   peer.dir_inflight = true;
   wire::Encoder args;
-  // A (0, 0) cursor never matches a host epoch, so the legacy A/B knob
-  // degenerates to a full snapshot every round.
-  args.u64(config_.peer_dir_deltas ? peer.dir_epoch : 0);
-  args.u64(config_.peer_dir_deltas ? peer.dir_version : 0);
+  args.u64(peer.dir_epoch);
+  args.u64(peer.dir_version);
   const std::uint32_t node = peer.node;
   invoke_peer(
       node, peer.server_ref, "list_apps_since", std::move(args),
@@ -1506,12 +1435,7 @@ void DiscoverServer::refresh_peer_directory(Peer& peer) {
         Peer* p = peer_by_node(node);
         if (p == nullptr) return;
         p->dir_inflight = false;
-        if (!r.ok()) {
-          if (r.error().code == util::Errc::invalid_argument) {
-            p->dir_unsupported = true;  // pre-outbox peer build
-          }
-          return;
-        }
+        if (!r.ok()) return;
         stats_.dir_refresh_bytes += r.value().size();
         try {
           wire::Decoder d(r.value());

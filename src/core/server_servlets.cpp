@@ -595,7 +595,7 @@ class DiscoverServer::CollabServlet final : public http::Servlet {
         } else {
           // Relay to the host — through this core's outbox when batching
           // is on — and ack optimistically.
-          host.relay_collab_to_host(*entry, std::move(ev));
+          host.relay_collab_to_host(*entry, ev);
         }
         out.ok = true;
         out.message = "posted";

@@ -175,17 +175,7 @@ std::string MetricsRegistry::prometheus_text() const {
 std::string MetricsRegistry::json() const { return render_json(snapshot()); }
 
 std::map<std::string, std::int64_t> MetricsRegistry::monitoring_map() const {
-  std::map<std::string, std::int64_t> out;
-  for (const auto& [name, slot] : counters_) {
-    out[name] = static_cast<std::int64_t>(slot.value());
-  }
-  for (const auto& [name, sample] : gauges_) out[name] = sample();
-  for (const auto& [name, slot] : histograms_) {
-    const LatencyHistogram& h = slot.get();
-    out[name + "_count"] = static_cast<std::int64_t>(h.count());
-    out[name + "_p95_ns"] = static_cast<std::int64_t>(h.percentile(0.95));
-  }
-  return out;
+  return monitoring_map(snapshot());
 }
 
 std::map<std::string, std::int64_t> MetricsRegistry::monitoring_map(

@@ -117,11 +117,11 @@ class MetricsRegistry {
   [[nodiscard]] std::string json() const;
 
   /// Flat name->value map for the MONITORING push (histograms contribute
-  /// `<name>_p95_ns` / `<name>_count` entries).
+  /// `<name>_p95_ns` / `<name>_count` entries); monitoring_map(snapshot()).
   [[nodiscard]] std::map<std::string, std::int64_t> monitoring_map() const;
 
-  /// Same flattening over a snapshot — lets a sharded node push one report
-  /// built from merge() of its per-core snapshots.
+  /// The flattening itself, over a snapshot — lets a sharded node push one
+  /// report built from merge() of its per-core snapshots.
   static std::map<std::string, std::int64_t> monitoring_map(
       const Snapshot& snap);
 

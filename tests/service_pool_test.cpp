@@ -88,7 +88,7 @@ TEST_F(ServicePoolTest, SnapshotAggregatesReports) {
                                 [](wire::Decoder& dd) { return dd.str(); },
                                 [](wire::Decoder& dd) { return dd.i64(); });
                         EXPECT_EQ(metrics.at("apps"), 1);
-                        EXPECT_GT(metrics.at("updates"), 0);
+                        EXPECT_GT(metrics.at("updates_processed"), 0);
                         checked = true;
                       });
   ASSERT_TRUE(scenario_->run_until([&] { return checked; }));
