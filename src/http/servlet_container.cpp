@@ -64,30 +64,16 @@ HttpSession& ServletContainer::session_for(const HttpRequest& req,
 void DeferredHttpReply::complete(HttpResponse resp) {
   if (done_) return;
   done_ = true;
-  if (in_service_) {
-    inline_ = std::move(resp);
-    return;
-  }
-  // Carry over correlation and session headers set before deferral.
-  for (const auto& [n, v] : seed_.headers.all()) {
-    if (!resp.headers.get(n)) resp.headers.set(n, v);
-  }
-  resp.reason = reason_for(resp.status);
-  util::Bytes wire = serialize(resp);
+  // The bytes the servlet would have produced on the direct response: the
+  // seed's correlation and session headers first, its own set on top.
+  HttpResponse out = std::move(seed_);
+  out.status = resp.status;
+  out.reason = reason_for(resp.status);
+  for (const auto& [n, v] : resp.headers.all()) out.headers.set(n, v);
+  out.body = std::move(resp.body);
+  util::Bytes wire = serialize(out);
   if (on_complete_) on_complete_(wire);
   network_.send(self_, client_, net::Channel::http, std::move(wire));
-}
-
-bool DeferredHttpReply::take_inline_completion(HttpResponse& direct) {
-  in_service_ = false;
-  if (!inline_) return false;
-  // The same bytes the servlet would have produced on `direct` itself: the
-  // seed headers first, its own set on top.
-  direct.status = inline_->status;
-  for (const auto& [n, v] : inline_->headers.all()) direct.headers.set(n, v);
-  direct.body = std::move(inline_->body);
-  inline_.reset();
-  return true;
 }
 
 void ServletContainer::cache_response(const DedupKey& key,
@@ -183,10 +169,6 @@ void ServletContainer::handle(const net::Message& msg) {
         return deferred;
       };
       servlet->service(req, resp, ctx);
-      if (deferred && deferred->take_inline_completion(resp)) {
-        if (has_dedup_key) inflight_.erase(dedup_key);
-        deferred.reset();
-      }
       resp.reason = reason_for(resp.status);
       if (trace.valid()) {
         tracer_->record(trace, "http:" + req.path_without_query(), start,

@@ -8,7 +8,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -30,16 +29,11 @@ class DeferredHttpReply {
       : network_(network), self_(self), client_(client),
         seed_(std::move(seed)) {}
 
-  /// Sends `resp`, preserving correlation/cookie headers the container
-  /// already put on the seed response.  Called while the servlet is still
-  /// running (the hop it deferred for ran inline), it only records `resp`:
-  /// the container then sends it as a direct reply, byte for byte.
+  /// Sends `resp` with the header order of a direct reply: the
+  /// correlation/cookie headers the container put on the seed response
+  /// first, then the servlet's own.  Whether it runs while the servlet is
+  /// still in service or later, the bytes are the same.
   void complete(HttpResponse resp);
-
-  /// Container hook, called once the servlet returned: true (with `direct`
-  /// holding the seed plus the response's status, headers and body) iff
-  /// complete() already ran; later completions send on their own.
-  bool take_inline_completion(HttpResponse& direct);
 
   /// Container hook: observes the final serialized response (fills the
   /// duplicate-request cache for deferred replies).
@@ -54,8 +48,6 @@ class DeferredHttpReply {
   HttpResponse seed_;
   std::function<void(const util::Bytes&)> on_complete_;
   bool done_ = false;
-  bool in_service_ = true;
-  std::optional<HttpResponse> inline_;
 };
 
 class ServletContainer {

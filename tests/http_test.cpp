@@ -293,19 +293,31 @@ TEST_F(HttpStackTest, DeferredReplyReachesClientWithCorrelation) {
 }
 
 // Defers, then completes before returning (the hop it deferred for ran
-// inline).
+// inline) or, given a network, from a timer after returning.
 class InlineDeferringServlet : public Servlet {
  public:
+  explicit InlineDeferringServlet(net::Network* later = nullptr)
+      : later_(later) {}
   void service(const HttpRequest&, HttpResponse&,
                ServletContext& ctx) override {
     auto reply = ctx.defer();
-    HttpResponse resp;
-    resp.headers.set("Content-Type", "text/plain");
-    resp.body = util::to_bytes("same");
-    reply->complete(std::move(resp));
+    const auto answer = [reply] {
+      HttpResponse resp;
+      resp.headers.set("Content-Type", "text/plain");
+      resp.body = util::to_bytes("same");
+      reply->complete(std::move(resp));
+    };
+    if (later_ != nullptr) {
+      later_->schedule(net::NodeId{0}, util::milliseconds(5), answer);
+    } else {
+      answer();
+    }
     ++hits;
   }
   int hits = 0;
+
+ private:
+  net::Network* later_;
 };
 
 class RawReplies : public net::MessageHandler {
@@ -316,28 +328,38 @@ class RawReplies : public net::MessageHandler {
   std::vector<std::string> replies;
 };
 
-TEST_F(HttpStackTest, DeferralCompletedInsideServiceIsSentAsDirectReply) {
-  auto servlet = std::make_shared<InlineDeferringServlet>();
-  server_node_->container->mount("/inline", servlet);
+TEST_F(HttpStackTest, DeferredReplyHasDirectReplyBytes) {
+  // Completed inside service (the hop it deferred for ran inline) and
+  // completed later from a timer: both replies carry the container
+  // headers first, then the servlet's — exactly what a servlet writing
+  // into its response argument produces.
   RawReplies raw;
   const net::NodeId raw_id = net_.add_node("raw", &raw);
-  HttpRequest req;
-  req.path = "/inline";
-  req.headers.set("X-Request-Id", "7");
-  for (int i = 0; i < 2; ++i) {
-    net_.send(raw_id, server_id_, net::Channel::http, serialize(req));
-    net_.run_until_idle();
+  std::uint64_t session = 0;
+  for (net::Network* later : {static_cast<net::Network*>(nullptr),
+                              static_cast<net::Network*>(&net_)}) {
+    auto servlet = std::make_shared<InlineDeferringServlet>(later);
+    const std::string path = later == nullptr ? "/inline" : "/later";
+    server_node_->container->mount(path, servlet);
+    HttpRequest req;
+    req.path = path;
+    const std::string rid = std::to_string(++session);
+    req.headers.set("X-Request-Id", rid);
+    raw.replies.clear();
+    for (int i = 0; i < 2; ++i) {
+      net_.send(raw_id, server_id_, net::Channel::http, serialize(req));
+      net_.run_until_idle();
+    }
+    const std::string direct =
+        "HTTP/1.0 200 OK\r\nSet-Cookie: DISCOVERID=" + rid +
+        "\r\nX-Request-Id: " + rid +
+        "\r\nContent-Type: text/plain\r\nContent-Length: 4\r\n\r\nsame";
+    ASSERT_EQ(raw.replies.size(), 2u) << path;
+    EXPECT_EQ(raw.replies[0], direct) << path;
+    // The retry is answered from the duplicate-request cache.
+    EXPECT_EQ(raw.replies[1], direct) << path;
+    EXPECT_EQ(servlet->hits, 1) << path;
   }
-  // Container headers first, then the servlet's — exactly what a servlet
-  // writing into its response argument produces.
-  const std::string direct =
-      "HTTP/1.0 200 OK\r\nSet-Cookie: DISCOVERID=1\r\nX-Request-Id: 7\r\n"
-      "Content-Type: text/plain\r\nContent-Length: 4\r\n\r\nsame";
-  ASSERT_EQ(raw.replies.size(), 2u);
-  EXPECT_EQ(raw.replies[0], direct);
-  // The retry is answered from the duplicate-request cache.
-  EXPECT_EQ(raw.replies[1], direct);
-  EXPECT_EQ(servlet->hits, 1);
 }
 
 TEST_F(HttpStackTest, SessionExpiry) {

@@ -9,13 +9,6 @@
 // /discover/metrics and /discover/trace text scrapes of both servers.  Any
 // refactor of the request paths must leave these bytes unchanged.
 //
-// One recorded exception: the fixture was captured when a select answered
-// from the server's own table still went out as a late (deferred) reply,
-// whose headers came before the container's X-Request-Id/Set-Cookie.  Such
-// a reply now completes before the servlet returns and is sent as a direct
-// reply, container headers first.  Those two replies must match up to
-// header order; every other message matches byte for byte.
-//
 // To re-record the fixture after an intended wire change:
 //   DISCOVER_GOLDEN_UPDATE=1 build/tests/wire_golden_test
 #include <gtest/gtest.h>
@@ -98,32 +91,6 @@ class RawClient final : public net::MessageHandler {
   }
   int status = 0;
 };
-
-/// Fixture positions of the select replies described above.
-constexpr std::size_t kInlineSelectReplies[] = {25, 58};
-
-/// Splits one recorded line's HTTP bytes into the status line, the sorted
-/// header lines and the body.
-std::tuple<std::string, std::vector<std::string>, std::string> http_parts(
-    const std::string& line) {
-  const std::string hex = line.substr(line.rfind(' ') + 1);
-  std::string text;
-  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
-    text.push_back(static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
-  }
-  const std::size_t head_end = text.find("\r\n\r\n");
-  std::vector<std::string> lines;
-  std::size_t at = 0;
-  while (at < head_end) {
-    const std::size_t eol = text.find("\r\n", at);
-    lines.push_back(text.substr(at, eol - at));
-    at = eol + 2;
-  }
-  std::string status = lines.front();
-  lines.erase(lines.begin());
-  std::sort(lines.begin(), lines.end());
-  return {status, lines, text.substr(head_end + 4)};
-}
 
 std::string golden_path() {
   return std::string(DISCOVER_GOLDEN_DIR) + "/two_server_session.txt";
@@ -280,15 +247,6 @@ TEST(WireGoldenTest, TwoServerSessionMatchesFixture) {
 
   const std::size_t n = std::min(got.size(), want.size());
   for (std::size_t i = 0; i < n; ++i) {
-    if (std::find(std::begin(kInlineSelectReplies),
-                  std::end(kInlineSelectReplies),
-                  i) != std::end(kInlineSelectReplies)) {
-      ASSERT_EQ(got[i].substr(0, got[i].rfind(' ')),
-                want[i].substr(0, want[i].rfind(' ')));
-      ASSERT_EQ(http_parts(got[i]), http_parts(want[i]))
-          << "select reply " << i << " differs beyond header order";
-      continue;
-    }
     ASSERT_EQ(got[i], want[i]) << "first wire difference at message " << i;
   }
   EXPECT_EQ(got.size(), want.size());
